@@ -8,10 +8,38 @@
 //!
 //! Internally the resident set is a struct-of-arrays: parallel vectors of
 //! per-tensor fields kept dense by swap-removal, plus a fast-hash id→slot
-//! index. Victim selection scans the dense arrays linearly instead of
-//! walking a `HashMap`, and every tie-break includes the tensor id, so the
-//! chosen victim is a unique extremum — independent of slot order and
-//! bit-identical to the original map-based implementation.
+//! index.
+//!
+//! Victims come from a lazy min-heap of victim keys. Each policy orders
+//! unpinned tensors by one key whose last component is the tensor id, so
+//! the smallest key is unique and the victim cannot depend on slot order:
+//!
+//! | policy         | key                                   |
+//! |----------------|---------------------------------------|
+//! | `Lru`          | `(last_use, id)`                      |
+//! | `Fifo`         | `(allocated_at, id)`                  |
+//! | `LargestFirst` | `(MAX − bytes, id)`                   |
+//! | `Clairvoyant`  | `(MAX − next_use, last_use, id)`      |
+//!
+//! A heap entry is *valid* while its tensor is resident, unpinned, and its
+//! key equals the key recomputed from the per-tensor arrays. Invariant: once
+//! the heap is built, every unpinned resident tensor has a valid entry. So
+//! the smallest valid entry is the victim; invalid (stale) entries are
+//! dropped when they reach the top, and nothing is removed from the middle.
+//! The invariant is kept by pushing a fresh entry whenever a tensor becomes
+//! evictable or its key changes while evictable: an unpin, a `touch` of an
+//! unpinned tensor (LRU, Clairvoyant) and a changed `set_next_use` of an
+//! unpinned tensor (Clairvoyant). Allocation pins, so it pushes nothing.
+//!
+//! The heap does not exist until the device first has to evict: the first
+//! victim pick builds it from the unpinned residents in O(n), and until then
+//! every mutation skips it, so a device whose working set fits never pays
+//! for it. Once built, it is rebuilt from the unpinned residents whenever it
+//! grows past twice the resident count, which keeps its memory and the
+//! amortised cost of the stale entries proportional to the resident set.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use micco_workload::{FastIdMap, TensorId};
 
@@ -80,6 +108,10 @@ impl std::fmt::Display for AllocError {
 
 impl std::error::Error for AllocError {}
 
+/// Victim key of one tensor under the active policy (see the module doc);
+/// the smallest key over the unpinned residents is the victim.
+type VictimKey = (u64, u64, u64);
+
 /// Memory state of one simulated device.
 ///
 /// Resident-tensor state lives in parallel dense vectors (one slot per
@@ -105,6 +137,11 @@ pub struct DeviceMemory {
     /// O(1) instead of a scan over every resident tensor.
     pinned_bytes: u64,
     clock: u64,
+    /// Min-heap of victim keys, possibly holding stale entries; empty and
+    /// unallocated until `indexed` (see the module doc).
+    victims: BinaryHeap<Reverse<VictimKey>>,
+    /// Whether `victims` has been built, i.e. this device has evicted.
+    indexed: bool,
 }
 
 impl DeviceMemory {
@@ -124,6 +161,8 @@ impl DeviceMemory {
             provenance: Vec::new(),
             pinned_bytes: 0,
             clock: 0,
+            victims: BinaryHeap::new(),
+            indexed: false,
         }
     }
 
@@ -163,7 +202,14 @@ impl DeviceMemory {
     pub fn touch(&mut self, id: TensorId) {
         self.clock += 1;
         if let Some(&s) = self.slot_of.get(&id) {
-            self.last_use[s as usize] = self.clock;
+            let slot = s as usize;
+            self.last_use[slot] = self.clock;
+            if matches!(
+                self.policy,
+                EvictionPolicy::Lru | EvictionPolicy::Clairvoyant
+            ) {
+                self.index_victim(slot);
+            }
         }
     }
 
@@ -178,6 +224,7 @@ impl DeviceMemory {
                     self.pinned_bytes -= self.bytes[slot];
                 }
                 self.pinned[slot] = pinned;
+                self.index_victim(slot);
             }
         }
     }
@@ -186,7 +233,13 @@ impl DeviceMemory {
     /// (`u64::MAX` = never again). No-op for absent tensors.
     pub fn set_next_use(&mut self, id: TensorId, next_use: u64) {
         if let Some(&s) = self.slot_of.get(&id) {
-            self.next_use[s as usize] = next_use;
+            let slot = s as usize;
+            if self.next_use[slot] != next_use {
+                self.next_use[slot] = next_use;
+                if self.policy == EvictionPolicy::Clairvoyant {
+                    self.index_victim(slot);
+                }
+            }
         }
     }
 
@@ -292,31 +345,66 @@ impl DeviceMemory {
         out
     }
 
-    /// Slot of the eviction victim under the active policy.
+    /// Slot of the eviction victim under the active policy: the unpinned
+    /// resident tensor with the smallest [`VictimKey`].
     ///
-    /// Every policy's key ends in the tensor id (or its complement), so the
-    /// extremum is unique and the scan order over slots cannot change the
-    /// outcome — this must match the original `HashMap`-iteration
-    /// implementation victim-for-victim.
-    fn pick_victim(&self) -> Option<usize> {
-        let candidates = (0..self.ids.len()).filter(|&s| !self.pinned[s]);
-
-        match self.policy {
-            EvictionPolicy::Lru => candidates.min_by_key(|&s| (self.last_use[s], self.ids[s].0)),
-            EvictionPolicy::Fifo => {
-                candidates.min_by_key(|&s| (self.allocated_at[s], self.ids[s].0))
-            }
-            EvictionPolicy::LargestFirst => {
-                candidates.max_by_key(|&s| (self.bytes[s], u64::MAX - self.ids[s].0))
-            }
-            EvictionPolicy::Clairvoyant => candidates.max_by_key(|&s| {
-                (
-                    self.next_use[s],
-                    u64::MAX - self.last_use[s],
-                    u64::MAX - self.ids[s].0,
-                )
-            }),
+    /// Pops the victim-key heap (building it on the first call) until its
+    /// top is a valid entry, which it also pops: the caller evicts that
+    /// tensor. Every key ends in the tensor id, so the minimum is unique and
+    /// matches the original linear scan over a `HashMap` victim-for-victim.
+    fn pick_victim(&mut self) -> Option<usize> {
+        if !self.indexed {
+            self.rebuild_victims();
         }
+        while let Some(Reverse(key)) = self.victims.pop() {
+            if let Some(&s) = self.slot_of.get(&TensorId(key.2)) {
+                let slot = s as usize;
+                if !self.pinned[slot] && self.victim_key(slot) == key {
+                    return Some(slot);
+                }
+            }
+        }
+        None
+    }
+
+    /// The tensor in `slot`'s victim key under the active policy.
+    fn victim_key(&self, slot: usize) -> VictimKey {
+        let id = self.ids[slot].0;
+        match self.policy {
+            EvictionPolicy::Lru => (self.last_use[slot], 0, id),
+            EvictionPolicy::Fifo => (self.allocated_at[slot], 0, id),
+            EvictionPolicy::LargestFirst => (u64::MAX - self.bytes[slot], 0, id),
+            EvictionPolicy::Clairvoyant => {
+                (u64::MAX - self.next_use[slot], self.last_use[slot], id)
+            }
+        }
+    }
+
+    /// Push `slot`'s current key if the heap is built and the tensor is
+    /// evictable; rebuild once stale entries make it outgrow twice the
+    /// resident set.
+    fn index_victim(&mut self, slot: usize) {
+        if !self.indexed || self.pinned[slot] {
+            return;
+        }
+        self.victims.push(Reverse(self.victim_key(slot)));
+        if self.victims.len() > 2 * self.ids.len() {
+            self.rebuild_victims();
+        }
+    }
+
+    /// Rebuild the heap from the unpinned residents in O(n), reusing its
+    /// allocation.
+    fn rebuild_victims(&mut self) {
+        let mut keys = std::mem::take(&mut self.victims).into_vec();
+        keys.clear();
+        keys.extend(
+            (0..self.ids.len())
+                .filter(|&s| !self.pinned[s])
+                .map(|s| Reverse(self.victim_key(s))),
+        );
+        self.victims = BinaryHeap::from(keys);
+        self.indexed = true;
     }
 }
 
@@ -624,6 +712,54 @@ mod tests {
         m.set_pinned(tid(3), false);
         assert!(m.allocate(tid(4), 100, Provenance::HostBacked).is_ok());
         assert_eq!(m.used(), 100);
+    }
+
+    #[test]
+    fn victim_heap_costs_nothing_until_the_first_eviction() {
+        // thousands of tensors allocated, touched, pinned and unpinned on a
+        // device that never runs short: the victim heap is never built
+        for policy in [
+            EvictionPolicy::Lru,
+            EvictionPolicy::Fifo,
+            EvictionPolicy::LargestFirst,
+            EvictionPolicy::Clairvoyant,
+        ] {
+            let mut m = mem(1 << 40, policy);
+            for i in 0..2_000u64 {
+                assert!(alloc_unpinned(&mut m, i, 1 + i % 97).is_empty());
+                m.touch(tid(i / 2));
+                m.set_next_use(tid(i / 3), i);
+                m.set_pinned(tid(i / 4), true);
+                m.set_pinned(tid(i / 4), false);
+                if i % 7 == 0 {
+                    m.discard(tid(i / 5));
+                }
+            }
+            assert!(!m.indexed, "{policy:?}");
+            assert_eq!(m.victims.capacity(), 0, "{policy:?}");
+            // the first shortage builds it
+            let ev = m.allocate(tid(u64::MAX), 1 << 40, Provenance::HostBacked);
+            assert!(!ev.unwrap().is_empty());
+            assert!(m.indexed, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn victim_heap_stays_within_twice_the_resident_set() {
+        // touch-heavy LRU churn under pressure pushes a stale entry per
+        // touch; the rebuild bound keeps the heap proportional to residents
+        let mut m = mem(1_000, EvictionPolicy::Lru);
+        let mut peak_resident = 0;
+        for i in 0..4_000u64 {
+            alloc_unpinned(&mut m, i, 10 + i % 40);
+            for back in 1..8 {
+                m.touch(tid(i.saturating_sub(back * 3)));
+            }
+            peak_resident = peak_resident.max(m.resident_count());
+            assert!(m.victims.len() <= 2 * peak_resident, "op {i}");
+        }
+        assert!(m.indexed);
+        assert!(m.victims.capacity() <= 4 * peak_resident);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 use proptest::prelude::*;
 
 use micco_gpusim::{
-    DeviceMemory, EvictionPolicy, GpuId, MachineConfig, MachineView, Provenance, SimMachine,
+    DeviceMemory, Evicted, EvictionPolicy, GpuId, MachineConfig, MachineView, Provenance,
+    SimMachine,
 };
 use micco_workload::{ContractionTask, TaskId, TensorDesc, TensorId};
 
@@ -24,6 +25,13 @@ enum MemOp {
     Unpin {
         id: u64,
     },
+    Pin {
+        id: u64,
+    },
+    SetNextUse {
+        id: u64,
+        next_use: u64,
+    },
 }
 
 fn mem_op() -> impl Strategy<Value = MemOp> {
@@ -36,7 +44,14 @@ fn mem_op() -> impl Strategy<Value = MemOp> {
         (0u64..40).prop_map(|id| MemOp::Touch { id }),
         (0u64..40).prop_map(|id| MemOp::Discard { id }),
         (0u64..40).prop_map(|id| MemOp::Unpin { id }),
+        (0u64..40).prop_map(|id| MemOp::Pin { id }),
+        (0u64..40, next_use()).prop_map(|(id, next_use)| MemOp::SetNextUse { id, next_use }),
     ]
+}
+
+/// Next-use positions with frequent ties, including "never again".
+fn next_use() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..8, Just(u64::MAX)]
 }
 
 fn policy() -> impl Strategy<Value = EvictionPolicy> {
@@ -44,7 +59,211 @@ fn policy() -> impl Strategy<Value = EvictionPolicy> {
         Just(EvictionPolicy::Lru),
         Just(EvictionPolicy::Fifo),
         Just(EvictionPolicy::LargestFirst),
+        Just(EvictionPolicy::Clairvoyant),
     ]
+}
+
+/// One tensor of [`ReferenceMemory`].
+#[derive(Debug, Clone, Copy)]
+struct RefTensor {
+    bytes: u64,
+    last_use: u64,
+    allocated_at: u64,
+    next_use: u64,
+    pinned: bool,
+    writeback: bool,
+}
+
+/// Reference model of `DeviceMemory`: a map of resident tensors and a
+/// plain linear `min_by_key` over it for every victim.
+struct ReferenceMemory {
+    capacity: u64,
+    policy: EvictionPolicy,
+    clock: u64,
+    tensors: std::collections::HashMap<u64, RefTensor>,
+}
+
+impl ReferenceMemory {
+    fn new(capacity: u64, policy: EvictionPolicy) -> Self {
+        ReferenceMemory {
+            capacity,
+            policy,
+            clock: 0,
+            tensors: Default::default(),
+        }
+    }
+
+    fn used(&self) -> u64 {
+        self.tensors.values().map(|t| t.bytes).sum()
+    }
+
+    /// The victim: the unpinned tensor with the smallest policy key.
+    fn victim(&self) -> Option<u64> {
+        let key = |id: u64, t: &RefTensor| match self.policy {
+            EvictionPolicy::Lru => (t.last_use, 0, id),
+            EvictionPolicy::Fifo => (t.allocated_at, 0, id),
+            EvictionPolicy::LargestFirst => (u64::MAX - t.bytes, 0, id),
+            EvictionPolicy::Clairvoyant => (u64::MAX - t.next_use, t.last_use, id),
+        };
+        self.tensors
+            .iter()
+            .filter(|(_, t)| !t.pinned)
+            .min_by_key(|(&id, t)| key(id, t))
+            .map(|(&id, _)| id)
+    }
+
+    /// Victims in eviction order, or `None` if the request cannot fit.
+    fn allocate(&mut self, id: u64, bytes: u64, writeback: bool) -> Option<Vec<Evicted>> {
+        let used = self.used();
+        let pinned: u64 = self
+            .tensors
+            .values()
+            .filter(|t| t.pinned)
+            .map(|t| t.bytes)
+            .sum();
+        if bytes > self.capacity - pinned {
+            return None;
+        }
+        let mut evicted = Vec::new();
+        let mut free = self.capacity - used;
+        while free < bytes {
+            let (victim, t) = self
+                .victim()
+                .and_then(|v| self.tensors.remove_entry(&v))
+                .expect("evictable bytes were sufficient");
+            free += t.bytes;
+            evicted.push(Evicted {
+                id: TensorId(victim),
+                bytes: t.bytes,
+                writeback: t.writeback,
+            });
+        }
+        self.clock += 1;
+        self.tensors.insert(
+            id,
+            RefTensor {
+                bytes,
+                last_use: self.clock,
+                allocated_at: self.clock,
+                next_use: u64::MAX,
+                pinned: true,
+                writeback,
+            },
+        );
+        Some(evicted)
+    }
+}
+
+/// Apply `ops` to a `DeviceMemory` and to [`ReferenceMemory`] side by side
+/// and assert that every allocation evicts exactly the reference's victims,
+/// in the reference's order. Returns the number of evictions.
+fn assert_victims_match_reference(policy: EvictionPolicy, capacity: u64, ops: &[MemOp]) -> usize {
+    let mut m = DeviceMemory::new(capacity, policy);
+    let mut r = ReferenceMemory::new(capacity, policy);
+    let mut evictions = 0;
+    for (i, op) in ops.iter().enumerate() {
+        match *op {
+            MemOp::Alloc {
+                id,
+                bytes,
+                device_created,
+            } => {
+                if m.holds(TensorId(id)) {
+                    continue;
+                }
+                let prov = if device_created {
+                    Provenance::DeviceCreated
+                } else {
+                    Provenance::HostBacked
+                };
+                let got = m.allocate(TensorId(id), bytes, prov).ok();
+                let want = r.allocate(id, bytes, device_created);
+                assert_eq!(got, want, "{policy:?} op {i}: {op:?}");
+                evictions += want.map_or(0, |v| v.len());
+            }
+            MemOp::Touch { id } => {
+                m.touch(TensorId(id));
+                r.clock += 1;
+                if let Some(t) = r.tensors.get_mut(&id) {
+                    t.last_use = r.clock;
+                }
+            }
+            MemOp::Discard { id } => {
+                assert_eq!(m.discard(TensorId(id)), r.tensors.remove(&id).is_some());
+            }
+            MemOp::Unpin { id } | MemOp::Pin { id } => {
+                let pinned = matches!(op, MemOp::Pin { .. });
+                m.set_pinned(TensorId(id), pinned);
+                if let Some(t) = r.tensors.get_mut(&id) {
+                    t.pinned = pinned;
+                }
+            }
+            MemOp::SetNextUse { id, next_use } => {
+                m.set_next_use(TensorId(id), next_use);
+                if let Some(t) = r.tensors.get_mut(&id) {
+                    t.next_use = next_use;
+                }
+            }
+        }
+        assert_eq!(m.used(), r.used(), "{policy:?} op {i}");
+        assert_eq!(m.resident_count(), r.tensors.len(), "{policy:?} op {i}");
+    }
+    evictions
+}
+
+/// Deterministic op stream for the long-churn case: a small device over a
+/// wide id range where most allocations are unpinned right after (as a
+/// finished task does), touch-heavy so stale heap entries pile up and force
+/// repeated rebuilds.
+fn churn_ops(seed: u64, len: usize) -> Vec<MemOp> {
+    let mut state = seed;
+    let mut next = move |n: u64| {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) % n
+    };
+    let mut ops = Vec::with_capacity(len);
+    while ops.len() < len {
+        let id = next(150);
+        match next(10) {
+            0..=3 => {
+                ops.push(MemOp::Alloc {
+                    id,
+                    bytes: 1 + next(60),
+                    device_created: next(2) == 0,
+                });
+                if next(4) != 0 {
+                    ops.push(MemOp::Unpin { id });
+                }
+            }
+            4..=6 => ops.push(MemOp::Touch { id }),
+            7 => ops.push(MemOp::Unpin { id }),
+            8 => ops.push(MemOp::Pin { id }),
+            _ => ops.push(match next(3) {
+                0 => MemOp::Discard { id },
+                _ => MemOp::SetNextUse {
+                    id,
+                    next_use: if next(4) == 0 { u64::MAX } else { next(16) },
+                },
+            }),
+        }
+    }
+    ops
+}
+
+#[test]
+fn long_churn_victim_order_matches_linear_reference() {
+    let ops = churn_ops(12, 10_000);
+    for policy in [
+        EvictionPolicy::Lru,
+        EvictionPolicy::Fifo,
+        EvictionPolicy::LargestFirst,
+        EvictionPolicy::Clairvoyant,
+    ] {
+        let evictions = assert_victims_match_reference(policy, 1_500, &ops);
+        assert!(evictions > 400, "{policy:?}: only {evictions} evictions");
+    }
 }
 
 proptest! {
@@ -91,12 +310,25 @@ proptest! {
                     prop_assert_eq!(did, resident_bytes.remove(&id).is_some());
                 }
                 MemOp::Unpin { id } => m.set_pinned(TensorId(id), false),
+                MemOp::Pin { id } => m.set_pinned(TensorId(id), true),
+                MemOp::SetNextUse { id, next_use } => m.set_next_use(TensorId(id), next_use),
             }
             prop_assert!(m.used() <= m.capacity(), "over capacity");
             let expect: u64 = resident_bytes.values().sum();
             prop_assert_eq!(m.used(), expect, "byte accounting drifted");
             prop_assert_eq!(m.resident_count(), resident_bytes.len());
         }
+    }
+
+    /// Every allocation evicts exactly the victims a linear scan over the
+    /// resident tensors picks, in the same order, under every policy.
+    #[test]
+    fn victim_order_matches_linear_reference(
+        ops in proptest::collection::vec(mem_op(), 1..300),
+        policy in policy(),
+        capacity in 50u64..200,
+    ) {
+        assert_victims_match_reference(policy, capacity, &ops);
     }
 
     /// The machine's clocks are monotone, memory bounded, and stats

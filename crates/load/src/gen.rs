@@ -5,7 +5,10 @@
 //! of how the daemon is keeping up, which is what exposes queueing
 //! behaviour (a closed loop self-throttles and hides it). Inter-arrival
 //! gaps are `−ln(u)/λ` draws from a deterministic splitmix64 stream, so
-//! a given `(seed, mix)` replays the same arrival schedule.
+//! a given `(seed, mix)` replays the same arrival schedule. Sends are due
+//! at absolute times (start + Σ gaps): a submit that blocks delays only the
+//! sends that fall due meanwhile, which then go out at once, and never
+//! shifts or thins the rest of the schedule.
 
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -222,16 +225,12 @@ struct SubmitLog {
 }
 
 fn submit_loop(client: &Client, load: &TenantLoad, duration: Duration, seed: u64) -> SubmitLog {
-    let mut rng = SplitMix64::new(seed);
     let mut log = SubmitLog::default();
     let t0 = Instant::now();
-    loop {
-        let gap = rng.next_exp(load.rate);
-        let elapsed = t0.elapsed();
-        if elapsed + gap >= duration {
-            return log;
-        }
-        std::thread::sleep(gap);
+    for due in due_times(load.rate, duration, seed) {
+        // sleep until the due time; a send that is already late (a previous
+        // submit stalled) goes out at once, and later sends stay on schedule
+        std::thread::sleep(due.saturating_sub(t0.elapsed()));
         log.submitted += 1;
         match client.submit(&load.tenant, load.priority.as_deref(), &load.config) {
             Ok(id) => log.ids.push(id),
@@ -239,6 +238,19 @@ fn submit_loop(client: &Client, load: &TenantLoad, duration: Duration, seed: u64
             Err(ApiError::Transport(_)) => log.rejected += 1,
         }
     }
+    log
+}
+
+/// The open-loop send schedule: due times `Σ gaps` after the start, one
+/// per Poisson arrival strictly inside `duration`. It depends only on
+/// `(rate, duration, seed)`, never on how long submits take.
+fn due_times(rate: f64, duration: Duration, seed: u64) -> impl Iterator<Item = Duration> {
+    let mut rng = SplitMix64::new(seed);
+    let mut due = Duration::ZERO;
+    std::iter::from_fn(move || {
+        due += rng.next_exp(rate);
+        (due < duration).then_some(due)
+    })
 }
 
 fn poll_terminal(client: &Client, id: u64, deadline: Instant) -> Option<Value> {
@@ -274,6 +286,60 @@ mod tests {
             .sum::<f64>()
             / 10_000.0;
         assert!((mean - 0.1).abs() < 0.01, "mean {mean}");
+    }
+
+    /// Send times of a simulated submit loop whose `i`-th submit blocks
+    /// for `latency(i)`: each send waits for its due time, or goes out at
+    /// once if the previous submit ran past it.
+    fn simulated_sends(
+        rate: f64,
+        duration: Duration,
+        seed: u64,
+        latency: impl Fn(usize) -> Duration,
+    ) -> Vec<(Duration, Duration)> {
+        let mut now = Duration::ZERO;
+        due_times(rate, duration, seed)
+            .enumerate()
+            .map(|(i, due)| {
+                now += due.saturating_sub(now);
+                let sent = now;
+                now += latency(i);
+                (due, sent)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn open_loop_schedule_ignores_submit_latency() {
+        let (rate, duration) = (100.0, Duration::from_secs(20));
+        let prompt = simulated_sends(rate, duration, 5, |_| Duration::ZERO);
+        assert!(prompt.iter().all(|&(due, sent)| sent == due));
+        // the 11th submit stalls for 2 s, past many later due times
+        let stall = Duration::from_secs(2);
+        let stalled = simulated_sends(rate, duration, 5, |i| {
+            if i == 10 {
+                stall
+            } else {
+                Duration::ZERO
+            }
+        });
+        assert_eq!(prompt.len(), stalled.len(), "send count moved with latency");
+        let stall_end = stalled[10].1 + stall;
+        for (i, &(due, sent)) in stalled.iter().enumerate() {
+            // sends due during the stall go out the moment it ends; every
+            // later send goes out exactly on time (no drift)
+            let expect = if i > 10 { due.max(stall_end) } else { due };
+            assert_eq!(sent, expect, "send {i}");
+        }
+        // Poisson count: mean λT = 2000, sd ≈ 45; allow 4 sd
+        let expected = rate * duration.as_secs_f64();
+        for seed in [1, 2, 3] {
+            let n = due_times(rate, duration, seed).count() as f64;
+            assert!(
+                (n - expected).abs() < 4.0 * expected.sqrt(),
+                "seed {seed}: {n} sends"
+            );
+        }
     }
 
     #[test]
