@@ -1,4 +1,5 @@
-//! Planner throughput micro-benchmarks: end-to-end `plan_schedule_in`
+//! Planner throughput micro-benchmarks: end-to-end
+//! `plan_schedule_in_with_topology`
 //! (decide-only, arena-reusing) at 10⁴–10⁵ tasks on 8–64 simulated GPUs,
 //! plus plan validation and static-analysis (lint) throughput over the
 //! decided plan. The 10⁶-task point lives in `src/bin/bench_planner.rs`
@@ -15,7 +16,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 
 use micco_core::{
-    plan_schedule_in, plan_schedule_with, DriverOptions, MiccoScheduler, PlanArena, ReuseBounds,
+    plan_schedule_in_with_topology, DriverOptions, MiccoScheduler, PlanArena, ReuseBounds, Session,
 };
 use micco_gpusim::MachineConfig;
 use micco_workload::{RepeatDistribution, TensorPairStream, WorkloadSpec};
@@ -53,11 +54,12 @@ fn bench_plan_throughput(c: &mut Criterion) {
                         PlanArena::with_capacity(stream.total_tasks(), stream.vectors.len());
                     b.iter(|| {
                         let mut sched = MiccoScheduler::new(ReuseBounds::new(0, 2, 0));
-                        let plan = plan_schedule_in(
+                        let plan = plan_schedule_in_with_topology(
                             &mut sched,
                             black_box(&stream),
                             &cfg,
                             DriverOptions::default(),
+                            None,
                             &mut arena,
                         )
                         .unwrap();
@@ -74,7 +76,10 @@ fn bench_validate_and_lint(c: &mut Criterion) {
     let stream = stream_of(10_000);
     let cfg = MachineConfig::mi100_like(8);
     let mut sched = MiccoScheduler::new(ReuseBounds::new(0, 2, 0));
-    let plan = plan_schedule_with(&mut sched, &stream, &cfg, DriverOptions::default()).unwrap();
+    let plan = Session::new(cfg)
+        .plan(&mut sched, &stream)
+        .unwrap()
+        .into_plan();
 
     let mut group = quick(c);
     group.throughput(Throughput::Elements(stream.total_tasks() as u64));

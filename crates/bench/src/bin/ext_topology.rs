@@ -17,8 +17,8 @@
 
 use micco_bench::report::emit;
 use micco_core::{
-    execute_plan_with_topology, plan_schedule_with_topology, CodaScheduler, DriverOptions,
-    GrouteScheduler, MiccoScheduler, ReuseBounds, RoundRobinScheduler, Scheduler,
+    execute_plan_with_topology, CodaScheduler, DriverOptions, GrouteScheduler, MiccoScheduler,
+    ReuseBounds, RoundRobinScheduler, Scheduler, Session,
 };
 use micco_gpusim::{LinkSpec, LinkTopology, MachineConfig, SimMachine};
 use micco_workload::{RepeatDistribution, TensorPairStream, WorkloadSpec};
@@ -66,8 +66,12 @@ fn measure(
     opts: DriverOptions,
     mode: &'static str,
 ) -> Point {
-    let plan =
-        plan_schedule_with_topology(sched, stream, cfg, opts, Some(topo)).expect("sweep plans");
+    let plan = Session::new(*cfg)
+        .with_options(opts)
+        .with_topology(topo.clone())
+        .plan(sched, stream)
+        .expect("sweep plans")
+        .into_plan();
     let mut machine = SimMachine::new(opts.apply(cfg));
     let report =
         execute_plan_with_topology(&plan, stream, &mut machine, opts, Some(topo)).expect("replays");

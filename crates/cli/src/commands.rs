@@ -10,20 +10,20 @@ use micco_cluster::{
 use micco_core::model::RegressionBounds;
 use micco_core::tuner::{build_training_set, TrainingConfig};
 use micco_core::{
-    execute_plan, plan_schedule_with_topology, run_schedule, run_schedule_with, DriverOptions,
-    DurablePlanCache, GrouteScheduler, MiccoScheduler, PlanCache, RetryPolicy, ReuseBounds,
-    RoundRobinScheduler, SchedulePlan, ScheduleReport, Scheduler, Session, SessionConfig,
+    run_schedule_on, CodaScheduler, DurablePlanCache, GrouteScheduler, MiccoScheduler, PlanCache,
+    RetryPolicy, ReuseBounds, RoundRobinScheduler, SchedulePlan, ScheduleReport, Scheduler,
+    Session, SessionConfig,
 };
 use micco_exec::{
-    execute_assignments, execute_plan as execute_plan_real, ExecOptions, FaultPlan, TensorStore,
+    execute_assignments, execute_plan as execute_plan_real, ExecOptions, TensorStore,
 };
-use micco_gpusim::{CostModel, LinkTopology, MachineConfig, SimMachine};
+use micco_gpusim::{CostModel, MachineConfig, SimMachine};
 use micco_load::{run_open_loop, TenantLoad};
 use micco_obs::{parse_trace_text, Recorder};
 use micco_redstar::{al_rhopi, build_correlator, f0d2, f0d4, kk_pipi, nucleon_pipi, PresetScale};
 use micco_serve::{Priority, ServeConfig, Service, TenantSpec};
 use micco_store::PlanStore;
-use micco_workload::{DataCharacteristics, RepeatDistribution, TensorPairStream, WorkloadSpec};
+use micco_workload::{DataCharacteristics, TensorPairStream, WorkloadSpec};
 
 use crate::args::Args;
 
@@ -140,11 +140,14 @@ common synthetic options also accept --save FILE / --load FILE to persist
 or replay the exact workload (text format, see micco_workload::serialize);
 plan/execute/replay validate the plan's workload fingerprint before running
 
-run/plan/execute/replay/load also take --config FILE: a SessionConfig JSON
-document carrying every workload/machine/scheduler/resilience knob in one
-place — the exact schema `serve` accepts in submission bodies, so a config
-exercised on the CLI submits to the daemon unchanged (and both key the
-durable store identically)
+every command except train, serve, store and info also takes --config FILE:
+a SessionConfig JSON document carrying every workload/machine/scheduler/
+resilience knob in one place (it replaces those flags; command-specific
+ones such as --plan, --out or lint's --mem-mib still apply) — the exact
+schema `serve` accepts in submission bodies, so a config exercised on the
+CLI submits to the daemon unchanged (and both key the durable store
+identically); plan consumers (lint, certify, execute, replay, trace --plan)
+take the device count from the plan
 
 --topology takes a file path or an inline spec; 'flat' (the default) keeps
 the uniform device-to-device cost model. Spec grammar:
@@ -161,8 +164,8 @@ pub fn dispatch(args: &Args) -> Result<(), String> {
         }
     }
     match args.command.as_deref() {
-        Some("synthetic") => synthetic(args),
-        Some("run") => run_session(args),
+        Some("synthetic") => run_session(args, true),
+        Some("run") => run_session(args, false),
         Some("redstar") => redstar(args),
         Some("sweep") => sweep(args),
         Some("train") => train(args),
@@ -187,102 +190,17 @@ pub fn dispatch(args: &Args) -> Result<(), String> {
     }
 }
 
-fn parse_dist(s: &str) -> Result<RepeatDistribution, String> {
-    match s {
-        "uniform" => Ok(RepeatDistribution::Uniform),
-        "gaussian" => Ok(RepeatDistribution::Gaussian),
-        "zipf" => Ok(RepeatDistribution::Zipf),
-        other => Err(format!(
-            "unknown distribution '{other}' (uniform|gaussian|zipf)"
-        )),
-    }
-}
-
-fn parse_bounds(args: &Args) -> Result<ReuseBounds, String> {
-    let list = args
-        .parse_list_or("bounds", vec![0usize, 2, 0])
-        .map_err(|e| e.to_string())?;
-    if list.len() != 3 {
-        return Err("--bounds needs exactly three comma-separated integers".into());
-    }
-    Ok(ReuseBounds::new(list[0], list[1], list[2]))
-}
-
-fn build_scheduler(args: &Args) -> Result<Box<dyn Scheduler>, String> {
-    match args.str_or("scheduler", "micco").as_str() {
-        "micco" => Ok(Box::new(MiccoScheduler::new(parse_bounds(args)?))),
-        "micco-naive" => Ok(Box::new(MiccoScheduler::naive())),
-        "groute" => Ok(Box::new(GrouteScheduler::new())),
-        "coda" => Ok(Box::new(micco_core::CodaScheduler::new())),
-        "rr" | "round-robin" => Ok(Box::new(RoundRobinScheduler::new())),
-        other => Err(format!(
-            "unknown scheduler '{other}' (micco|micco-naive|groute|coda|rr)"
-        )),
-    }
-}
-
-fn machine_for(args: &Args, stream: &TensorPairStream) -> Result<MachineConfig, String> {
-    let gpus: usize = args.parse_or("gpus", 8).map_err(|e| e.to_string())?;
-    machine_with_gpus(args, stream, gpus)
-}
-
-/// [`machine_for`] with the device count fixed by the caller (plans carry
-/// their own).
-fn machine_with_gpus(
-    args: &Args,
-    stream: &TensorPairStream,
-    gpus: usize,
-) -> Result<MachineConfig, String> {
-    let mut cfg = MachineConfig::mi100_like(gpus);
-    // `--overlap` is the pipelined-execution spelling; `--async-copy` is
-    // kept as the original alias
-    if args.flag("async-copy") || args.flag("overlap") {
-        cfg = cfg.with_cost(cfg.cost.with_async_copy());
-    }
-    let prefetch: usize = args
-        .parse_or("prefetch-tasks", 0)
-        .map_err(|e| e.to_string())?;
-    if prefetch > 0 {
-        cfg = cfg.with_cost(cfg.cost.with_prefetch_tasks(prefetch));
-    }
-    let oversub: f64 = args.parse_or("oversub", 0.0).map_err(|e| e.to_string())?;
-    if oversub > 0.0 {
-        cfg = cfg.with_oversubscription(stream.unique_bytes(), oversub);
-    }
-    Ok(cfg)
-}
-
-/// [`DriverOptions`] mirroring the machine flags. The [`Session`] applies
-/// its own options to the machine config, so overlap/prefetch must travel
-/// here too — otherwise the defaults would reset them.
-fn driver_options(args: &Args) -> Result<DriverOptions, String> {
-    let mut opts = DriverOptions::default().with_measure_overhead();
-    if args.flag("async-copy") || args.flag("overlap") {
-        opts = opts.with_overlap();
-    }
-    let prefetch: usize = args
-        .parse_or("prefetch-tasks", 0)
-        .map_err(|e| e.to_string())?;
-    if prefetch > 0 {
-        opts = opts.with_prefetch_tasks(prefetch);
-    }
-    if args.flag("topology-aware") {
-        opts = opts.with_topology_aware();
-    }
-    Ok(opts)
-}
-
 /// The one config grammar: fold the command line into a [`SessionConfig`].
 /// With `--config FILE` the file is the whole story (the same JSON schema
 /// `serve` accepts in submission bodies); otherwise every individual flag
-/// mirrors into the struct, so both spellings drive identical machinery —
-/// and key the durable plan store identically.
-fn session_config_from_args(args: &Args) -> Result<SessionConfig, String> {
+/// overrides `base` — the command's defaults — so both spellings drive
+/// identical machinery and key the durable plan store identically.
+fn session_config_from_args(args: &Args, base: SessionConfig) -> Result<SessionConfig, String> {
     if let Some(path) = args.get("config") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        return SessionConfig::parse(&text).map_err(|e| e.to_string());
+        return SessionConfig::parse(&text).map_err(|e| format!("{path}: {e}"));
     }
-    let mut cfg = SessionConfig::default();
+    let mut cfg = base;
     cfg.vector_size = args
         .parse_or("vector-size", cfg.vector_size)
         .map_err(|e| e.to_string())?;
@@ -362,8 +280,27 @@ fn session_config_from_args(args: &Args) -> Result<SessionConfig, String> {
     Ok(cfg)
 }
 
-/// The workload for a config-driven command, honouring `--load FILE` /
-/// `--save FILE` exactly as [`synthetic_stream`] does.
+/// `scfg` resized to the device count `plan` was decided for, re-validated
+/// so that a topology of any other size is an error instead of a panic.
+fn resized_for(mut scfg: SessionConfig, plan: &SchedulePlan) -> Result<SessionConfig, String> {
+    scfg.gpus = plan.num_gpus;
+    scfg.validate().map_err(|e| e.to_string())?;
+    Ok(scfg)
+}
+
+/// The request a command replaying `plan` rebuilds its workload and
+/// machine from: the plan's device count is the default (and final)
+/// `--gpus`.
+fn request_for_plan(args: &Args, plan: &SchedulePlan) -> Result<SessionConfig, String> {
+    let base = SessionConfig {
+        gpus: plan.num_gpus,
+        ..SessionConfig::default()
+    };
+    resized_for(session_config_from_args(args, base)?, plan)
+}
+
+/// The workload `cfg` describes, or the one `--load FILE` reads back;
+/// `--save FILE` persists it.
 fn stream_for(args: &Args, cfg: &SessionConfig) -> Result<TensorPairStream, String> {
     if let Some(path) = args.get("load") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -389,29 +326,30 @@ fn open_store(dir: &str) -> Result<DurablePlanCache, String> {
     Ok(cache)
 }
 
+/// The session plans are decided and keyed under: execution-side flags
+/// (overlap, prefetch) stay out of the options, so `plan` and every
+/// `--store` reader agree on the decision and its store key.
+fn plan_session(scfg: &SessionConfig, stream: &TensorPairStream) -> Result<Session, String> {
+    Ok(scfg
+        .session(stream)
+        .map_err(|e| e.to_string())?
+        .with_options(scfg.plan_options()))
+}
+
 /// Decide — or durably re-serve — the plan for the request described by
-/// `scfg` through the store at `dir`, reporting where it came from. The
-/// key is built from the config's planning-relevant fields only, so the
-/// CLI and the `serve` daemon warm-start each other's stores.
+/// `scfg` through the store at `dir`, reporting where it came from.
 fn plan_via_store(
     scfg: &SessionConfig,
     dir: &str,
     stream: &TensorPairStream,
 ) -> Result<SchedulePlan, String> {
-    let cfg = scfg.machine(stream);
-    let topology = scfg.link_topology().map_err(|e| e.to_string())?;
+    let session = plan_session(scfg, stream)?;
     let mut cache = open_store(dir)?;
     let mut sched = scfg.build_scheduler().map_err(|e| e.to_string())?;
-    let plan = cache
-        .plan_for_with_topology(
-            sched.as_mut(),
-            stream,
-            &cfg,
-            scfg.plan_options(),
-            topology.as_ref(),
-        )
+    let plan = session
+        .plan_with_cache(&mut cache, sched.as_mut(), stream)
         .map_err(|e| e.to_string())?
-        .clone();
+        .into_plan();
     let source = if cache.log_hits() > 0 {
         "replayed from log (scheduler not invoked)"
     } else {
@@ -433,15 +371,14 @@ fn fetch_plan_from_store(
     dir: &str,
     stream: &TensorPairStream,
 ) -> Result<SchedulePlan, String> {
-    let cfg = scfg.machine(stream);
-    let topology = scfg.link_topology().map_err(|e| e.to_string())?;
+    let session = plan_session(scfg, stream)?;
     let sched = scfg.build_scheduler().map_err(|e| e.to_string())?;
     let key = PlanCache::key_for_with_topology(
         sched.as_ref(),
         stream,
-        &cfg,
-        scfg.plan_options(),
-        topology.as_ref(),
+        session.config(),
+        *session.options(),
+        session.topology(),
     );
     let mut cache = open_store(dir)?;
     let plan = cache.lookup(key).cloned().ok_or_else(|| {
@@ -514,27 +451,6 @@ fn store_cmd(args: &Args) -> Result<(), String> {
     }
 }
 
-/// Parse `--topology FILE|SPEC` into a link topology. The value is read
-/// as a file when one exists at that path, otherwise parsed directly as a
-/// `nvlink{…}` spec; the literal `flat` (or an absent flag) means uniform
-/// device-to-device cost, exactly as before this option existed.
-fn parse_topology(args: &Args) -> Result<Option<LinkTopology>, String> {
-    let Some(value) = args.get("topology") else {
-        return Ok(None);
-    };
-    if value == "flat" {
-        return Ok(None);
-    }
-    let spec = if std::path::Path::new(value).is_file() {
-        std::fs::read_to_string(value).map_err(|e| format!("{value}: {e}"))?
-    } else {
-        value.to_owned()
-    };
-    LinkTopology::parse(spec.trim())
-        .map(Some)
-        .map_err(|e| format!("--topology: {e}"))
-}
-
 /// Fresh recorder when `--trace-out FILE` or `--trace-raw FILE` was
 /// given, `None` otherwise.
 fn trace_recorder(args: &Args) -> Option<std::sync::Arc<Recorder>> {
@@ -568,10 +484,25 @@ fn write_trace_files(recorder: &Recorder, args: &Args) -> Result<(), String> {
 }
 
 /// `micco run`: the synthetic pipeline through the [`Session`] API, with
-/// optional end-to-end telemetry (`--trace-out FILE`).
-fn run_session(args: &Args) -> Result<(), String> {
-    let scfg = session_config_from_args(args)?;
+/// optional end-to-end telemetry (`--trace-out FILE`). `micco synthetic`
+/// is the same run with a workload/machine `banner` first.
+fn run_session(args: &Args, banner: bool) -> Result<(), String> {
+    let scfg = session_config_from_args(args, SessionConfig::default())?;
     let stream = stream_for(args, &scfg)?;
+    let mut session = scfg.session(&stream).map_err(|e| e.to_string())?;
+    if banner {
+        let cfg = session.config();
+        println!(
+            "workload: {} vectors × {} pairs, {:.1} GFLOP, working set {:.1} MiB; machine: {} GPUs × {:.1} GiB{}",
+            stream.vectors.len(),
+            stream.vectors.first().map(|v| v.len()).unwrap_or(0),
+            stream.total_flops() as f64 / 1e9,
+            stream.unique_bytes() as f64 / (1 << 20) as f64,
+            cfg.num_gpus,
+            cfg.mem_bytes as f64 / (1u64 << 30) as f64,
+            if cfg.cost.async_copy { ", async copy" } else { "" },
+        );
+    }
     // with --store, the decision step goes through the durable cache (a
     // warm restart replays the logged plan without invoking the
     // scheduler); the session then executes the plan either way
@@ -579,7 +510,6 @@ fn run_session(args: &Args) -> Result<(), String> {
         Some(dir) => Some(plan_via_store(&scfg, dir, &stream)?),
         None => None,
     };
-    let mut session = scfg.session(&stream).map_err(|e| e.to_string())?;
     let recorder = trace_recorder(args);
     if let Some(r) = &recorder {
         session = session.trace(r.clone()).metrics(r.metrics());
@@ -627,75 +557,6 @@ fn print_report(r: &ScheduleReport) {
     );
 }
 
-/// Build (or load) the synthetic workload described by the common options,
-/// honouring `--load FILE` / `--save FILE`.
-fn synthetic_stream(args: &Args) -> Result<TensorPairStream, String> {
-    if let Some(path) = args.get("load") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        return micco_workload::from_text(&text).map_err(|e| e.to_string());
-    }
-    let mut spec = WorkloadSpec::new(
-        args.parse_or("vector-size", 64)
-            .map_err(|e| e.to_string())?,
-        args.parse_or("tensor-size", 384)
-            .map_err(|e| e.to_string())?,
-    )
-    .with_repeat_rate(args.parse_or("rate", 0.5).map_err(|e| e.to_string())?)
-    .with_distribution(parse_dist(&args.str_or("dist", "uniform"))?)
-    .with_vectors(args.parse_or("vectors", 10).map_err(|e| e.to_string())?)
-    .with_seed(args.parse_or("seed", 0).map_err(|e| e.to_string())?)
-    .with_batch(args.parse_or("batch", 4).map_err(|e| e.to_string())?);
-    if let Some(dims) = args.get("dims") {
-        let dims: Vec<usize> = dims
-            .split(',')
-            .map(|d| {
-                d.trim()
-                    .parse()
-                    .map_err(|_| format!("bad --dims entry '{d}'"))
-            })
-            .collect::<Result<_, _>>()?;
-        spec = spec.with_dim_choices(dims);
-    }
-    let stream = spec.generate();
-    if let Some(path) = args.get("save") {
-        std::fs::write(path, micco_workload::to_text(&stream))
-            .map_err(|e| format!("{path}: {e}"))?;
-        println!("saved workload to {path}");
-    }
-    Ok(stream)
-}
-
-fn synthetic(args: &Args) -> Result<(), String> {
-    let stream = synthetic_stream(args)?;
-
-    let cfg = machine_for(args, &stream)?;
-    println!(
-        "workload: {} vectors × {} pairs, {:.1} GFLOP, working set {:.1} MiB; machine: {} GPUs × {:.1} GiB{}",
-        stream.vectors.len(),
-        stream.vectors.first().map(|v| v.len()).unwrap_or(0),
-        stream.total_flops() as f64 / 1e9,
-        stream.unique_bytes() as f64 / (1 << 20) as f64,
-        cfg.num_gpus,
-        cfg.mem_bytes as f64 / (1u64 << 30) as f64,
-        if cfg.cost.async_copy { ", async copy" } else { "" },
-    );
-    let mut sched = build_scheduler(args)?;
-    // the report prints a scheduling-overhead column, so opt into timing
-    let report = run_schedule_with(
-        sched.as_mut(),
-        &stream,
-        &cfg,
-        DriverOptions::default().with_measure_overhead(),
-    )
-    .map_err(|e| e.to_string())?;
-    print_report(&report);
-    if args.flag("mappings") {
-        let hist = micco_core::mapping_histogram(&stream, &report.assignments, &cfg);
-        println!("  Fig. 4 mappings: {hist}");
-    }
-    Ok(())
-}
-
 fn redstar(args: &Args) -> Result<(), String> {
     let scale = match args.str_or("scale", "ci").as_str() {
         "paper" => PresetScale::Paper,
@@ -714,6 +575,7 @@ fn redstar(args: &Args) -> Result<(), String> {
             ))
         }
     };
+    let scfg = session_config_from_args(args, SessionConfig::default())?;
     println!("building correlator {}…", spec.name);
     let program = build_correlator(&spec);
     println!(
@@ -725,13 +587,16 @@ fn redstar(args: &Args) -> Result<(), String> {
         program.stream.vectors.len(),
         program.working_set_bytes as f64 / (1u64 << 30) as f64,
     );
-    let cfg = machine_for(args, &program.stream)?;
-    let opts = DriverOptions::default().with_measure_overhead();
-    let groute = run_schedule_with(&mut GrouteScheduler::new(), &program.stream, &cfg, opts)
+    let session = scfg.session(&program.stream).map_err(|e| e.to_string())?;
+    let groute = session
+        .run(&mut GrouteScheduler::new(), &program.stream)
         .map_err(|e| e.to_string())?;
-    let mut micco = MiccoScheduler::new(parse_bounds(args)?);
-    let m =
-        run_schedule_with(&mut micco, &program.stream, &cfg, opts).map_err(|e| e.to_string())?;
+    let m = session
+        .run(
+            &mut MiccoScheduler::new(ReuseBounds::from(scfg.bounds)),
+            &program.stream,
+        )
+        .map_err(|e| e.to_string())?;
     print_report(&groute);
     print_report(&m);
     println!("speedup MICCO/Groute: {:.2}x", m.speedup_over(&groute));
@@ -740,8 +605,7 @@ fn redstar(args: &Args) -> Result<(), String> {
 
 fn sweep(args: &Args) -> Result<(), String> {
     let param = args.str_or("param", "rate");
-    let gpus: usize = args.parse_or("gpus", 8).map_err(|e| e.to_string())?;
-    let bounds = parse_bounds(args)?;
+    let scfg = session_config_from_args(args, SessionConfig::default())?;
     let values: Vec<f64> = args
         .parse_list_or(
             "values",
@@ -764,23 +628,27 @@ fn sweep(args: &Args) -> Result<(), String> {
         let mut spec = WorkloadSpec::new(64, 384)
             .with_repeat_rate(0.5)
             .with_vectors(8);
-        let mut cfg = MachineConfig::mi100_like(gpus);
+        let mut point = scfg.clone();
         match param.as_str() {
             "rate" => spec = spec.with_repeat_rate(v),
             "tensor-size" => spec.tensor_dim = v as usize,
             "vector-size" => spec.vector_size = v as usize,
-            "gpus" => cfg = MachineConfig::mi100_like(v as usize),
-            "oversub" => {}
+            "gpus" => point.gpus = v as usize,
+            "oversub" => point.oversub = v,
             _ => unreachable!("validated above"),
         }
+        point.validate().map_err(|e| e.to_string())?;
         let stream = spec.generate();
-        if param == "oversub" {
-            cfg = cfg.with_oversubscription(stream.unique_bytes(), v);
-        }
-        let g =
-            run_schedule(&mut GrouteScheduler::new(), &stream, &cfg).map_err(|e| e.to_string())?;
-        let mut micco = MiccoScheduler::new(bounds);
-        let m = run_schedule(&mut micco, &stream, &cfg).map_err(|e| e.to_string())?;
+        let session = point.session(&stream).map_err(|e| e.to_string())?;
+        let g = session
+            .run(&mut GrouteScheduler::new(), &stream)
+            .map_err(|e| e.to_string())?;
+        let m = session
+            .run(
+                &mut MiccoScheduler::new(ReuseBounds::from(point.bounds)),
+                &stream,
+            )
+            .map_err(|e| e.to_string())?;
         println!(
             "{:<12} {:>12.0} {:>12.0} {:>9.2}x",
             v,
@@ -838,7 +706,9 @@ fn cluster(args: &Args) -> Result<(), String> {
     let cfg = ClusterConfig::mi100_cluster(nodes, gpus);
     let flat = run_cluster_schedule(&mut FlatClusterScheduler::new(), &stream, &cfg)
         .map_err(|e| e.to_string())?;
-    let mut hier = HierarchicalScheduler::new(nodes, 16, parse_bounds(args)?);
+    let bounds =
+        ReuseBounds::from(session_config_from_args(args, SessionConfig::default())?.bounds);
+    let mut hier = HierarchicalScheduler::new(nodes, 16, bounds);
     let h = run_cluster_schedule(&mut hier, &stream, &cfg).map_err(|e| e.to_string())?;
     for r in [&flat, &h] {
         println!(
@@ -858,18 +728,21 @@ fn cluster(args: &Args) -> Result<(), String> {
 }
 
 fn compare(args: &Args) -> Result<(), String> {
-    let stream = synthetic_stream(args)?;
-    let cfg = machine_for(args, &stream)?;
+    let scfg = session_config_from_args(args, SessionConfig::default())?;
+    let stream = stream_for(args, &scfg)?;
+    let session = scfg.session(&stream).map_err(|e| e.to_string())?;
     let mut contenders: Vec<Box<dyn Scheduler>> = vec![
         Box::new(RoundRobinScheduler::new()),
         Box::new(GrouteScheduler::new()),
-        Box::new(micco_core::CodaScheduler::new()),
+        Box::new(CodaScheduler::new()),
         Box::new(MiccoScheduler::naive()),
-        Box::new(MiccoScheduler::new(parse_bounds(args)?)),
+        Box::new(MiccoScheduler::new(ReuseBounds::from(scfg.bounds))),
     ];
     let mut baseline = None;
     for s in contenders.iter_mut() {
-        let r = run_schedule(s.as_mut(), &stream, &cfg).map_err(|e| e.to_string())?;
+        let r = session
+            .run(s.as_mut(), &stream)
+            .map_err(|e| e.to_string())?;
         let speedup = match &baseline {
             None => {
                 baseline = Some(r.elapsed_secs());
@@ -884,7 +757,7 @@ fn compare(args: &Args) -> Result<(), String> {
             speedup
         );
         if args.flag("mappings") {
-            let hist = micco_core::mapping_histogram(&stream, &r.assignments, &cfg);
+            let hist = micco_core::mapping_histogram(&stream, &r.assignments, session.config());
             print!("  | {hist}");
         }
         println!();
@@ -892,45 +765,38 @@ fn compare(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Parse `--inject-faults SPEC` into a deterministic [`FaultPlan`]
-/// (empty plan when the flag is absent).
-fn parse_faults(args: &Args) -> Result<FaultPlan, String> {
-    match args.get("inject-faults") {
-        Some(spec) => FaultPlan::parse(spec).map_err(|e| format!("--inject-faults: {e}")),
-        None => Ok(FaultPlan::none()),
+/// Real-engine options for the request: work stealing, operand prefetch,
+/// the retry budget and the injected faults, plus the trace recorder when
+/// one is attached.
+fn exec_options(
+    scfg: &SessionConfig,
+    recorder: Option<&std::sync::Arc<Recorder>>,
+) -> Result<ExecOptions, String> {
+    let mut opts =
+        ExecOptions::default().with_faults(scfg.fault_plan().map_err(|e| e.to_string())?);
+    if scfg.steal {
+        opts = opts.with_steal();
     }
-}
-
-/// Apply `--retry MAX[,DELAY_US]` to the execution options.
-fn apply_retry(args: &Args, opts: ExecOptions) -> Result<ExecOptions, String> {
-    let Some(spec) = args.get("retry") else {
-        return Ok(opts);
-    };
-    let mut parts = spec.splitn(2, ',');
-    let max: u32 = parts
-        .next()
-        .unwrap_or_default()
-        .trim()
-        .parse()
-        .map_err(|_| format!("--retry: bad attempt count in '{spec}'"))?;
-    let delay_us: u64 = match parts.next() {
-        Some(d) => d
-            .trim()
-            .parse()
-            .map_err(|_| format!("--retry: bad delay in '{spec}'"))?,
-        None => 0,
-    };
-    Ok(opts.retry(max, std::time::Duration::from_micros(delay_us)))
+    if scfg.prefetch {
+        opts = opts.with_prefetch();
+    }
+    if let Some(r) = &scfg.retry {
+        opts = opts.retry(r.max_attempts, std::time::Duration::from_micros(r.delay_us));
+    }
+    if let Some(r) = recorder {
+        opts = opts.with_trace(r.clone());
+    }
+    Ok(opts)
 }
 
 /// Print the chaos section of an execution report when faults were injected.
-fn print_chaos(faults: &FaultPlan, out: &micco_exec::ExecOutcome) {
-    if faults.fault_count() == 0 {
+fn print_chaos(opts: &ExecOptions, out: &micco_exec::ExecOutcome) {
+    if opts.faults.fault_count() == 0 {
         return;
     }
     println!(
         "chaos: {} fault(s) injected | {} hit | {} retries | {} worker(s) lost",
-        faults.fault_count(),
+        opts.faults.fault_count(),
         out.faults,
         out.retries,
         out.lost_workers
@@ -938,40 +804,34 @@ fn print_chaos(faults: &FaultPlan, out: &micco_exec::ExecOutcome) {
 }
 
 fn exec(args: &Args) -> Result<(), String> {
-    let batch: usize = args.parse_or("batch", 4).map_err(|e| e.to_string())?;
-    let dim: usize = args
-        .parse_or("tensor-size", 96)
+    // real kernels are slow: exec starts from a smaller default workload
+    let base = SessionConfig {
+        vector_size: 16,
+        tensor_size: 96,
+        vectors: 4,
+        gpus: 4,
+        ..SessionConfig::default()
+    };
+    let mut scfg = session_config_from_args(args, base)?;
+    // one worker thread per simulated device
+    scfg.gpus = args
+        .parse_or("workers", scfg.gpus)
         .map_err(|e| e.to_string())?;
-    let workers: usize = args.parse_or("workers", 4).map_err(|e| e.to_string())?;
-    let stream = WorkloadSpec::new(
-        args.parse_or("vector-size", 16)
-            .map_err(|e| e.to_string())?,
-        dim,
-    )
-    .with_batch(batch)
-    .with_repeat_rate(args.parse_or("rate", 0.5).map_err(|e| e.to_string())?)
-    .with_vectors(args.parse_or("vectors", 4).map_err(|e| e.to_string())?)
-    .with_seed(args.parse_or("seed", 0).map_err(|e| e.to_string())?)
-    .generate();
-    let cfg = MachineConfig::mi100_like(workers);
-    let mut sched = build_scheduler(args)?;
-    let report = run_schedule(sched.as_mut(), &stream, &cfg).map_err(|e| e.to_string())?;
-    let mut opts = ExecOptions::default();
-    if args.flag("steal") {
-        opts = opts.with_steal();
-    }
-    if args.flag("prefetch") {
-        opts = opts.with_prefetch();
-    }
-    opts = apply_retry(args, opts)?;
-    let faults = parse_faults(args)?;
-    opts = opts.with_faults(faults.clone());
+    scfg.validate().map_err(|e| e.to_string())?;
+    let workers = scfg.gpus;
+    let stream = stream_for(args, &scfg)?;
     let recorder = trace_recorder(args);
-    if let Some(r) = &recorder {
-        opts = opts.with_trace(r.clone());
-    }
-    let seed: u64 = args.parse_or("seed", 0).map_err(|e| e.to_string())?;
-    let store = TensorStore::new(batch, dim, seed);
+    let opts = exec_options(&scfg, recorder.as_ref())?;
+    // injected faults target the real engine; the simulated reference run
+    // that decides the placement stays fault-free
+    scfg.faults = None;
+    let mut sched = scfg.build_scheduler().map_err(|e| e.to_string())?;
+    let report = scfg
+        .session(&stream)
+        .map_err(|e| e.to_string())?
+        .run(sched.as_mut(), &stream)
+        .map_err(|e| e.to_string())?;
+    let store = TensorStore::new(scfg.batch, scfg.tensor_size, scfg.seed);
     let out = execute_assignments(&stream, &report.assignments, workers, &store, &opts)
         .map_err(|e| e.to_string())?;
     println!(
@@ -988,7 +848,7 @@ fn exec(args: &Args) -> Result<(), String> {
             out.per_worker_executed, out.steals
         );
     }
-    print_chaos(&faults, &out);
+    print_chaos(&opts, &out);
     println!("checksum: {}", out.checksum);
     if let Some(r) = &recorder {
         write_trace_files(r, args)?;
@@ -998,22 +858,17 @@ fn exec(args: &Args) -> Result<(), String> {
 
 /// Decide a schedule without executing it: write the plan IR to `--out`.
 fn plan(args: &Args) -> Result<(), String> {
-    let scfg = session_config_from_args(args)?;
+    let scfg = session_config_from_args(args, SessionConfig::default())?;
     let stream = stream_for(args, &scfg)?;
-    let cfg = scfg.machine(&stream);
-    let topology = scfg.link_topology().map_err(|e| e.to_string())?;
+    let session = plan_session(&scfg, &stream)?;
     let plan = if let Some(dir) = &scfg.store {
         plan_via_store(&scfg, dir, &stream)?
     } else {
         let mut sched = scfg.build_scheduler().map_err(|e| e.to_string())?;
-        plan_schedule_with_topology(
-            sched.as_mut(),
-            &stream,
-            &cfg,
-            scfg.plan_options(),
-            topology.as_ref(),
-        )
-        .map_err(|e| e.to_string())?
+        session
+            .plan(sched.as_mut(), &stream)
+            .map_err(|e| e.to_string())?
+            .into_plan()
     };
     let out = args.str_or("out", "micco-plan.txt");
     std::fs::write(&out, plan.to_text()).map_err(|e| format!("{out}: {e}"))?;
@@ -1033,9 +888,9 @@ fn plan(args: &Args) -> Result<(), String> {
         let report = analyze_plan_with_topology(
             &plan,
             &stream,
-            &cfg,
+            session.config(),
             &analysis_config(args)?,
-            topology.as_ref(),
+            session.topology(),
         );
         emit_report(&report, args, &out)?;
     }
@@ -1118,13 +973,14 @@ fn lint(args: &Args) -> Result<(), String> {
         .ok_or_else(|| "lint needs --plan FILE".to_owned())?
         .to_owned();
     let plan = load_plan(args)?;
-    let stream = synthetic_stream(args)?;
-    let mut cfg = machine_with_gpus(args, &stream, plan.num_gpus)?;
+    let scfg = request_for_plan(args, &plan)?;
+    let stream = stream_for(args, &scfg)?;
+    let mut cfg = scfg.machine(&stream);
     let mem_mib: u64 = args.parse_or("mem-mib", 0).map_err(|e| e.to_string())?;
     if mem_mib > 0 {
         cfg = cfg.with_mem_bytes(mem_mib << 20);
     }
-    let topology = parse_topology(args)?;
+    let topology = scfg.link_topology().map_err(|e| e.to_string())?;
     let report = analyze_plan_with_topology(
         &plan,
         &stream,
@@ -1171,13 +1027,13 @@ fn certify(args: &Args) -> Result<(), String> {
         .to_owned();
     let text = std::fs::read_to_string(&trace_path).map_err(|e| format!("{trace_path}: {e}"))?;
     let events = parse_trace_text(&text).map_err(|e| format!("{trace_path}: {e}"))?;
-    let stream = synthetic_stream(args)?;
-    let cfg = machine_with_gpus(args, &stream, plan.num_gpus)?;
-    let topology = parse_topology(args)?;
+    let scfg = request_for_plan(args, &plan)?;
+    let stream = stream_for(args, &scfg)?;
+    let topology = scfg.link_topology().map_err(|e| e.to_string())?;
     let report = certify_trace_with(
         &plan,
         &stream,
-        &cfg,
+        &scfg.machine(&stream),
         &certify_config(args)?,
         topology.as_ref(),
         &events,
@@ -1185,21 +1041,27 @@ fn certify(args: &Args) -> Result<(), String> {
     emit_report(&report, args, &trace_path)
 }
 
-/// The plan for `execute`/`replay`: `--plan FILE` when given, else the
-/// durable store named by `--store DIR` (keyed by the same request the
-/// workload/scheduler flags describe).
+/// The plan for `execute`/`replay` with the request it runs under and the
+/// rebuilt workload: `--plan FILE` when given, else the durable store named
+/// by `--store DIR` (keyed by the request the flags describe, so they must
+/// match the `plan --store` that decided it).
 fn plan_from_file_or_store(
     args: &Args,
-    scfg: &SessionConfig,
-    stream: &TensorPairStream,
-) -> Result<SchedulePlan, String> {
+) -> Result<(SchedulePlan, SessionConfig, TensorPairStream), String> {
     if args.get("plan").is_some() {
-        load_plan(args)
-    } else if let Some(dir) = &scfg.store {
-        fetch_plan_from_store(scfg, dir, stream)
-    } else {
-        Err("this command needs --plan FILE or --store DIR".to_owned())
+        let plan = load_plan(args)?;
+        let scfg = request_for_plan(args, &plan)?;
+        let stream = stream_for(args, &scfg)?;
+        return Ok((plan, scfg, stream));
     }
+    let scfg = session_config_from_args(args, SessionConfig::default())?;
+    let Some(dir) = scfg.store.clone() else {
+        return Err("this command needs --plan FILE or --store DIR".to_owned());
+    };
+    let stream = stream_for(args, &scfg)?;
+    let plan = fetch_plan_from_store(&scfg, &dir, &stream)?;
+    let scfg = resized_for(scfg, &plan)?;
+    Ok((plan, scfg, stream))
 }
 
 /// Read a plan written by [`plan`] from `--plan FILE`.
@@ -1215,15 +1077,10 @@ fn load_plan(args: &Args) -> Result<SchedulePlan, String> {
 /// simulator (`--backend sim`, the default) or with real kernels
 /// (`--backend real`).
 fn execute(args: &Args) -> Result<(), String> {
-    let mut scfg = session_config_from_args(args)?;
-    let stream = stream_for(args, &scfg)?;
-    let plan = plan_from_file_or_store(args, &scfg, &stream)?;
+    let (plan, scfg, stream) = plan_from_file_or_store(args)?;
     let recorder = trace_recorder(args);
     match args.str_or("backend", "sim").as_str() {
         "sim" => {
-            // the plan carries its own device count; the store key above
-            // used the gpus as typed, so only adjust afterwards
-            scfg.gpus = plan.num_gpus;
             let mut session = scfg.session(&stream).map_err(|e| e.to_string())?;
             if let Some(r) = &recorder {
                 session = session.trace(r.clone()).metrics(r.metrics());
@@ -1232,25 +1089,8 @@ fn execute(args: &Args) -> Result<(), String> {
             print_report(&report);
         }
         "real" => {
-            let batch: usize = args.parse_or("batch", 4).map_err(|e| e.to_string())?;
-            let dim: usize = args
-                .parse_or("tensor-size", 384)
-                .map_err(|e| e.to_string())?;
-            let seed: u64 = args.parse_or("seed", 0).map_err(|e| e.to_string())?;
-            let mut opts = ExecOptions::default();
-            if args.flag("steal") {
-                opts = opts.with_steal();
-            }
-            if args.flag("prefetch") {
-                opts = opts.with_prefetch();
-            }
-            opts = apply_retry(args, opts)?;
-            let faults = parse_faults(args)?;
-            opts = opts.with_faults(faults.clone());
-            if let Some(r) = &recorder {
-                opts = opts.with_trace(r.clone());
-            }
-            let store = TensorStore::new(batch, dim, seed);
+            let opts = exec_options(&scfg, recorder.as_ref())?;
+            let store = TensorStore::new(scfg.batch, scfg.tensor_size, scfg.seed);
             let out =
                 execute_plan_real(&stream, &plan, &store, &opts).map_err(|e| e.to_string())?;
             println!(
@@ -1261,7 +1101,7 @@ fn execute(args: &Args) -> Result<(), String> {
                 out.wall_secs * 1e3
             );
             println!("tasks per worker (assigned): {:?}", out.per_worker_tasks);
-            print_chaos(&faults, &out);
+            print_chaos(&opts, &out);
             println!("checksum: {}", out.checksum);
         }
         other => return Err(format!("unknown backend '{other}' (sim|real)")),
@@ -1275,19 +1115,15 @@ fn execute(args: &Args) -> Result<(), String> {
 /// Replay a plan `--times N` times on fresh simulators and verify the
 /// outcome is identical on every run (plans are deterministic artifacts).
 fn replay(args: &Args) -> Result<(), String> {
-    let mut scfg = session_config_from_args(args)?;
-    let stream = stream_for(args, &scfg)?;
-    let plan = plan_from_file_or_store(args, &scfg, &stream)?;
+    let (plan, scfg, stream) = plan_from_file_or_store(args)?;
     let times: usize = args.parse_or("times", 3).map_err(|e| e.to_string())?;
     if times == 0 {
         return Err("--times must be at least 1".into());
     }
-    scfg.gpus = plan.num_gpus;
-    let cfg = scfg.machine(&stream);
+    let session = scfg.session(&stream).map_err(|e| e.to_string())?;
     let mut reference: Option<ScheduleReport> = None;
     for _ in 0..times {
-        let mut machine = SimMachine::new(cfg);
-        let report = execute_plan(&plan, &stream, &mut machine).map_err(|e| e.to_string())?;
+        let report = session.replay(&plan, &stream).map_err(|e| e.to_string())?;
         match &reference {
             None => reference = Some(report),
             Some(r) => {
@@ -1311,31 +1147,32 @@ fn replay(args: &Args) -> Result<(), String> {
 
 fn trace(args: &Args) -> Result<(), String> {
     let out_path = args.str_or("out", "micco-trace.json");
-    let stream = synthetic_stream(args)?;
     // with --plan, replay the plan file through the Session telemetry path
     // and emit Perfetto JSON (spans + metrics) instead of the legacy array
     if args.get("plan").is_some() {
         let plan = load_plan(args)?;
-        let cfg = machine_with_gpus(args, &stream, plan.num_gpus)?;
+        let scfg = request_for_plan(args, &plan)?;
+        let stream = stream_for(args, &scfg)?;
         let recorder = Recorder::shared();
-        let mut session = Session::new(cfg)
-            .with_options(driver_options(args)?)
+        let report = scfg
+            .session(&stream)
+            .map_err(|e| e.to_string())?
             .trace(recorder.clone())
-            .metrics(recorder.metrics());
-        if let Some(topo) = parse_topology(args)? {
-            session = session.with_topology(topo);
-        }
-        let report = session.replay(&plan, &stream).map_err(|e| e.to_string())?;
+            .metrics(recorder.metrics())
+            .replay(&plan, &stream)
+            .map_err(|e| e.to_string())?;
         print_report(&report);
         return write_perfetto(&recorder, &out_path);
     }
-    let cfg = machine_for(args, &stream)?;
-    let mut machine = SimMachine::new(cfg);
-    machine.set_topology(parse_topology(args)?);
+    let scfg = session_config_from_args(args, SessionConfig::default())?;
+    let stream = stream_for(args, &scfg)?;
+    let mut machine = SimMachine::new(scfg.machine(&stream));
+    machine.set_topology(scfg.link_topology().map_err(|e| e.to_string())?);
+    machine.set_faults(scfg.fault_plan().map_err(|e| e.to_string())?);
     machine.enable_trace();
-    let mut sched = build_scheduler(args)?;
-    let report = micco_core::driver::run_schedule_on(sched.as_mut(), &stream, &mut machine)
-        .map_err(|e| e.to_string())?;
+    let mut sched = scfg.build_scheduler().map_err(|e| e.to_string())?;
+    let report =
+        run_schedule_on(sched.as_mut(), &stream, &mut machine).map_err(|e| e.to_string())?;
     let json = machine.trace().expect("enabled above").to_chrome_json();
     std::fs::write(&out_path, json).map_err(|e| format!("{out_path}: {e}"))?;
     println!(
@@ -1424,7 +1261,7 @@ fn load_cmd(args: &Args) -> Result<(), String> {
     if duration <= 0.0 || default_rate <= 0.0 {
         return Err("--duration and --jobs-per-sec must be positive".into());
     }
-    let job_config = session_config_from_args(args)?;
+    let job_config = session_config_from_args(args, SessionConfig::default())?;
     let mut tenants = Vec::new();
     // NAME[:PRIORITY[:RATE]] — the priority travels with each submission,
     // the rate overrides --jobs-per-sec for that tenant
@@ -1678,6 +1515,73 @@ mod tests {
     }
 
     #[test]
+    fn replay_honours_topology_and_fault_flags() {
+        let dir = std::env::temp_dir();
+        let pid = std::process::id();
+        let flat_plan = dir.join(format!("micco-cli-replay-flat-{pid}.txt"));
+        let topo_plan = dir.join(format!("micco-cli-replay-topo-{pid}.txt"));
+        let (f, t) = (flat_plan.display(), topo_plan.display());
+        let wl = "--vector-size 8 --tensor-size 16 --vectors 2 --seed 3";
+        run(&format!("plan {wl} --gpus 2 --out {f}")).unwrap();
+        run(&format!("replay {wl} --plan {f} --times 2")).unwrap();
+        // the simulator loses gpu 1 before the first stage: the replay
+        // must fail instead of silently running fault-free
+        let err = run(&format!("replay {wl} --plan {f} --inject-faults lose:1@0")).unwrap_err();
+        assert!(err.contains("lost at stage 0"), "{err}");
+        // a topology that does not cover the plan's devices is rejected
+        // up front instead of being ignored (or panicking)
+        let err = run(&format!(
+            "replay {wl} --plan {f} --topology nvlink{{gpus:4,island:2}}"
+        ))
+        .unwrap_err();
+        assert!(err.contains("covers 4 GPUs"), "{err}");
+        // a matching topology replays the routed plan deterministically
+        let topo = "--topology nvlink{gpus:4,island:2}";
+        run(&format!("plan {wl} --gpus 4 {topo} --out {t}")).unwrap();
+        run(&format!("replay {wl} --plan {t} {topo} --times 2")).unwrap();
+        for p in [&flat_plan, &topo_plan] {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+
+    #[test]
+    fn config_file_drives_plan_execute_lint_certify_replay() {
+        let dir = std::env::temp_dir();
+        let pid = std::process::id();
+        let cfg_path = dir.join(format!("micco-cli-chain-{pid}.json"));
+        let plan_path = dir.join(format!("micco-cli-chain-plan-{pid}.txt"));
+        let trace_path = dir.join(format!("micco-cli-chain-trace-{pid}.txt"));
+        // a non-default workload on two NVLink islands: every command must
+        // rebuild it from the document, or the fingerprints disagree
+        std::fs::write(
+            &cfg_path,
+            r#"{"vector_size": 6, "tensor_size": 16, "batch": 2, "vectors": 3, "seed": 5,
+                "rate": 0.7, "gpus": 4, "topology": "nvlink{gpus:4, island:2}",
+                "topology_aware": true}"#,
+        )
+        .unwrap();
+        let (c, p, t) = (
+            cfg_path.display(),
+            plan_path.display(),
+            trace_path.display(),
+        );
+        run(&format!("plan --config {c} --out {p}")).unwrap();
+        run(&format!("execute --config {c} --plan {p} --trace-raw {t}")).unwrap();
+        run(&format!("lint --config {c} --plan {p} --deny warn")).unwrap();
+        run(&format!(
+            "certify --config {c} --plan {p} --trace {t} --deny warn"
+        ))
+        .unwrap();
+        run(&format!("replay --config {c} --plan {p} --times 2")).unwrap();
+        // the same document drives the workload-only commands too
+        run(&format!("synthetic --config {c}")).unwrap();
+        run(&format!("compare --config {c}")).unwrap();
+        for path in [&cfg_path, &plan_path, &trace_path] {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+
+    #[test]
     fn execute_rejects_mismatched_workload() {
         let dir = std::env::temp_dir();
         let plan_path = dir.join(format!("micco-cli-plan-drift-{}.txt", std::process::id()));
@@ -1883,6 +1787,15 @@ mod tests {
         .unwrap();
         let text = std::fs::read_to_string(&out).unwrap();
         assert!(text.starts_with('['));
+        // injected faults arm the traced machine too: a device lost before
+        // the first stage fails the run
+        let err = run(&format!(
+            "trace --vector-size 4 --tensor-size 32 --vectors 1 --gpus 2 \
+             --inject-faults lose:1@0 --out {}",
+            out.display()
+        ))
+        .unwrap_err();
+        assert!(err.contains("lost at stage 0"), "{err}");
         let _ = std::fs::remove_file(out);
     }
 
@@ -2071,12 +1984,12 @@ mod tests {
                 .map(String::from),
         )
         .unwrap();
-        let scfg = session_config_from_args(&args).unwrap();
+        let scfg = session_config_from_args(&args, SessionConfig::default()).unwrap();
         let stream = stream_for(&args, &scfg).unwrap();
-        let cfg = scfg.machine(&stream);
         let mut sched = scfg.build_scheduler().unwrap();
-        cache
-            .plan_for_with_topology(sched.as_mut(), &stream, &cfg, scfg.plan_options(), None)
+        plan_session(&scfg, &stream)
+            .unwrap()
+            .plan_with_cache(&mut cache, sched.as_mut(), &stream)
             .unwrap();
         assert_eq!((cache.log_hits(), cache.misses()), (1, 0));
         let _ = std::fs::remove_dir_all(&dir);
@@ -2127,7 +2040,7 @@ mod tests {
                 .map(String::from),
         )
         .unwrap();
-        let from_flags = session_config_from_args(&flags).unwrap();
+        let from_flags = session_config_from_args(&flags, SessionConfig::default()).unwrap();
         let doc = from_flags.to_json();
         let path = std::env::temp_dir().join(format!("micco-cli-cfg-{}.json", std::process::id()));
         std::fs::write(&path, &doc).unwrap();
@@ -2137,19 +2050,16 @@ mod tests {
                 .map(String::from),
         )
         .unwrap();
-        let from_file = session_config_from_args(&by_file).unwrap();
+        let from_file = session_config_from_args(&by_file, SessionConfig::default()).unwrap();
         assert_eq!(from_flags, from_file);
         let stream = from_flags.stream().unwrap();
         let plan_of = |scfg: &SessionConfig| {
             let mut sched = scfg.build_scheduler().unwrap();
-            plan_schedule_with_topology(
-                sched.as_mut(),
-                &stream,
-                &scfg.machine(&stream),
-                scfg.plan_options(),
-                scfg.link_topology().unwrap().as_ref(),
-            )
-            .unwrap()
+            plan_session(scfg, &stream)
+                .unwrap()
+                .plan(sched.as_mut(), &stream)
+                .unwrap()
+                .into_plan()
         };
         let (plan_a, plan_b) = (plan_of(&from_flags), plan_of(&from_file));
         // overhead_secs is wall clock; the decision itself must match
@@ -2169,7 +2079,7 @@ mod tests {
                 .map(String::from),
         )
         .unwrap();
-        let cfg = session_config_from_args(&args).unwrap();
+        let cfg = session_config_from_args(&args, SessionConfig::default()).unwrap();
         assert_eq!(cfg.faults.as_deref(), Some("kernel:0*2"));
         assert_eq!(
             cfg.retry,

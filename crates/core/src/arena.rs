@@ -18,19 +18,21 @@ use crate::plan::{PlanStage, SchedulePlan};
 /// # Examples
 ///
 /// ```
-/// use micco_core::{plan_schedule_in, DriverOptions, PlanArena, RoundRobinScheduler};
+/// use micco_core::{plan_schedule_in_with_topology, PlanArena, RoundRobinScheduler};
 /// use micco_gpusim::MachineConfig;
 /// use micco_workload::WorkloadSpec;
 ///
 /// let stream = WorkloadSpec::new(8, 64).with_vectors(2).generate();
 /// let cfg = MachineConfig::mi100_like(2);
 /// let mut arena = PlanArena::new();
-/// let opts = DriverOptions::default();
-/// let a = plan_schedule_in(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, &mut arena)
-///     .unwrap();
+/// let mut plan = |arena: &mut PlanArena| {
+///     let mut rr = RoundRobinScheduler::new();
+///     plan_schedule_in_with_topology(&mut rr, &stream, &cfg, Default::default(), None, arena)
+///         .unwrap()
+/// };
+/// let a = plan(&mut arena);
 /// // replanning reuses the arena's buffers instead of reallocating
-/// let b = plan_schedule_in(&mut RoundRobinScheduler::new(), &stream, &cfg, opts, &mut arena)
-///     .unwrap();
+/// let b = plan(&mut arena);
 /// assert_eq!(a, b);
 /// ```
 #[derive(Debug, Clone, Default)]

@@ -344,8 +344,17 @@ impl SessionConfig {
         }
         // scheduler + bounds check by construction
         self.build_scheduler()?;
-        // topology / faults specs must parse
-        self.link_topology()?;
+        // topology / faults specs must parse, and a topology must cover
+        // exactly the configured devices (the simulator asserts it)
+        if let Some(topo) = self.link_topology()? {
+            if topo.num_gpus() != self.gpus {
+                return Err(ConfigError(format!(
+                    "'topology' covers {} GPUs but 'gpus' is {}",
+                    topo.num_gpus(),
+                    self.gpus
+                )));
+            }
+        }
         self.fault_plan()?;
         if let Some(r) = &self.retry {
             if r.max_attempts == 0 {
@@ -637,6 +646,20 @@ mod tests {
         assert!(SessionConfig::parse(r#"{"retry": {"max_attempts": 0}}"#).is_err());
         assert!(SessionConfig::parse("[1]").is_err(), "non-object");
         assert!(SessionConfig::parse("not json").is_err());
+    }
+
+    #[test]
+    fn topology_must_cover_exactly_the_configured_gpus() {
+        let err = SessionConfig::parse(r#"{"gpus": 2, "topology": "nvlink{gpus:4,island:2}"}"#)
+            .unwrap_err();
+        assert!(err.0.contains("covers 4 GPUs but 'gpus' is 2"), "{err}");
+        let mut cfg =
+            SessionConfig::parse(r#"{"gpus": 4, "topology": "nvlink{gpus:4,island:2}"}"#).unwrap();
+        // a caller resizing a validated config re-validates it
+        cfg.gpus = 8;
+        assert!(cfg.validate().is_err());
+        cfg.topology = Some("flat".into());
+        assert!(cfg.validate().is_ok());
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! The scheduling driver, split into *decide* and *execute*.
 //!
-//! [`plan_schedule`] runs the scheduler against a lightweight
-//! [`ShadowMachine`] (full scheduler-visible state, no statistics) and
-//! produces a [`SchedulePlan`]; [`execute_plan`] replays a validated plan
-//! on a [`SimMachine`] and reports achieved performance. [`run_schedule`]
-//! and [`run_schedule_with`] are thin compositions of the two with
-//! unchanged signatures — and, because the shadow and the simulator share
-//! one state-transition function, unchanged results. The interleaved
-//! [`run_schedule_on`] remains for warm machines and tracing.
+//! [`plan_schedule_in_with_topology`] runs the scheduler against a
+//! lightweight [`ShadowMachine`] (full scheduler-visible state, no
+//! statistics) and produces a [`SchedulePlan`];
+//! [`execute_plan_with_topology`] replays a validated plan on a
+//! [`SimMachine`] and reports achieved performance. Because the shadow and
+//! the simulator share one state-transition function, the composition
+//! ([`Session::run`](crate::Session::run)) matches the interleaved
+//! [`run_schedule_on`], which remains for warm machines and tracing.
 
 use std::time::Instant;
 
@@ -96,7 +96,8 @@ impl From<PlanError> for ScheduleError {
     }
 }
 
-/// Outcome of [`run_schedule`].
+/// Outcome of a scheduled run ([`Session::run`](crate::Session::run),
+/// [`execute_plan_with_topology`] or [`run_schedule_on`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleReport {
     /// Scheduler name.
@@ -110,8 +111,8 @@ pub struct ScheduleReport {
     /// Real wall-clock seconds spent replaying the plan on the simulator
     /// (the cost of the execute phase itself, not the simulated time).
     /// Measured only when [`DriverOptions::measure_overhead`] is set and
-    /// the run goes through [`execute_plan_with`] (or [`run_schedule_with`],
-    /// which forwards its options); `0.0` otherwise.
+    /// the run replays a plan ([`execute_plan_with_topology`]); `0.0`
+    /// otherwise.
     pub execution_overhead_secs: f64,
     /// Every placement decision, in task order.
     pub assignments: Vec<Assignment>,
@@ -183,7 +184,7 @@ pub struct DriverOptions {
     /// fetches route over slow cross-island/cross-node links. Off by
     /// default (the pinned flat behaviour); has no effect unless a
     /// [`LinkTopology`] is actually threaded into the run (e.g. via
-    /// [`plan_schedule_with_topology`]).
+    /// [`Session::with_topology`](crate::Session::with_topology)).
     pub topology_aware: bool,
 }
 
@@ -224,74 +225,33 @@ impl DriverOptions {
 }
 
 /// Decide a schedule without simulating: run `scheduler` over `stream`
-/// against a [`ShadowMachine`] built from `config` and capture every
-/// placement into a [`SchedulePlan`].
+/// against a [`ShadowMachine`] built from `config` (with `options` layered
+/// onto its cost model) and capture every placement into a
+/// [`SchedulePlan`]. This is the one planner; [`Session::plan`],
+/// [`PlanCache`](crate::PlanCache) and the benches all call it.
 ///
 /// The shadow tracks exactly the state schedulers can observe through
 /// [`MachineView`] — residency, occupancy, evictions, stage load — so the
 /// decisions are identical to what the interleaved driver would make, at a
 /// fraction of the cost (no statistics, no trace, no attribution).
-pub fn plan_schedule(
-    scheduler: &mut dyn Scheduler,
-    stream: &TensorPairStream,
-    config: &MachineConfig,
-) -> Result<SchedulePlan, ScheduleError> {
-    plan_schedule_with(scheduler, stream, config, DriverOptions::default())
-}
-
-/// [`plan_schedule`] with [`DriverOptions`] layered onto the cost model
-/// (overlap changes timing, which changes what load-aware schedulers see).
-pub fn plan_schedule_with(
-    scheduler: &mut dyn Scheduler,
-    stream: &TensorPairStream,
-    config: &MachineConfig,
-    options: DriverOptions,
-) -> Result<SchedulePlan, ScheduleError> {
-    let mut arena = PlanArena::with_capacity(stream.total_tasks(), stream.vectors.len());
-    plan_schedule_in(scheduler, stream, config, options, &mut arena)
-}
-
-/// [`plan_schedule_with`] writing its working set into a caller-provided
-/// [`PlanArena`] — the allocation-amortised entry point for callers that
-/// plan repeatedly (the plan cache, the benches). The arena is reset on
-/// entry and left populated on return, ready for the next pass; the
-/// returned plan is identical to what [`plan_schedule_with`] produces.
-pub fn plan_schedule_in(
-    scheduler: &mut dyn Scheduler,
-    stream: &TensorPairStream,
-    config: &MachineConfig,
-    options: DriverOptions,
-    arena: &mut PlanArena,
-) -> Result<SchedulePlan, ScheduleError> {
-    plan_schedule_in_with_topology(scheduler, stream, config, options, arena, None)
-}
-
-/// [`plan_schedule_with`] deciding against a [`LinkTopology`]-carrying
-/// shadow: peer transfers are routed and charged per hop, so load-aware
-/// schedulers see the (slower) cross-island reality, and schedulers that
-/// honour [`Scheduler::set_topology_aware`] additionally penalize
-/// candidates that would pull operands over slow links. Passing `None`
-/// is exactly [`plan_schedule_with`].
-pub fn plan_schedule_with_topology(
-    scheduler: &mut dyn Scheduler,
-    stream: &TensorPairStream,
-    config: &MachineConfig,
-    options: DriverOptions,
-    topology: Option<&LinkTopology>,
-) -> Result<SchedulePlan, ScheduleError> {
-    let mut arena = PlanArena::with_capacity(stream.total_tasks(), stream.vectors.len());
-    plan_schedule_in_with_topology(scheduler, stream, config, options, &mut arena, topology)
-}
-
-/// [`plan_schedule_in`] with an optional [`LinkTopology`] — the arena
-/// variant every other planning entry point funnels through.
+///
+/// With a `topology`, peer transfers are routed and charged per hop, so
+/// load-aware schedulers see the (slower) cross-island reality, and
+/// schedulers that honour [`Scheduler::set_topology_aware`] additionally
+/// penalize candidates that would pull operands over slow links.
+///
+/// The working set lives in the caller's `arena`, which is reset on entry
+/// and left populated on return, so callers that plan repeatedly pay for
+/// its allocations once.
+///
+/// [`Session::plan`]: crate::Session::plan
 pub fn plan_schedule_in_with_topology(
     scheduler: &mut dyn Scheduler,
     stream: &TensorPairStream,
     config: &MachineConfig,
     options: DriverOptions,
-    arena: &mut PlanArena,
     topology: Option<&LinkTopology>,
+    arena: &mut PlanArena,
 ) -> Result<SchedulePlan, ScheduleError> {
     let cfg = options.apply(config);
     let mut shadow = ShadowMachine::new(cfg);
@@ -337,26 +297,21 @@ pub fn plan_schedule_in_with_topology(
 /// a barrier between stages. The plan is checked against the stream and
 /// the machine first ([`SchedulePlan::validate_for`]); a plan decided for
 /// a different workload or device count is a typed error, not a panic.
-pub fn execute_plan(
-    plan: &SchedulePlan,
-    stream: &TensorPairStream,
-    machine: &mut SimMachine,
-) -> Result<ScheduleReport, ScheduleError> {
-    execute_plan_with(plan, stream, machine, DriverOptions::default())
-}
-
-/// [`execute_plan`] honouring [`DriverOptions`]: with `measure_overhead`
-/// set, the wall-clock cost of the execute phase is captured into
-/// [`ScheduleReport::execution_overhead_secs`], so plan-time and exec-time
-/// overhead are reported consistently. (Historically `measure_overhead`
-/// was silently ignored on the plan-replay path.) Timing never changes the
-/// simulated outcome — a test pins that.
-pub fn execute_plan_with(
+///
+/// The machine's topology is replaced by `topology` — *cleared* when
+/// `None` — so planned and executed routes stay bit-identical when both
+/// phases receive the same topology. With `options.measure_overhead` set,
+/// the wall-clock cost of the replay is captured into
+/// [`ScheduleReport::execution_overhead_secs`]; timing never changes the
+/// simulated outcome.
+pub fn execute_plan_with_topology(
     plan: &SchedulePlan,
     stream: &TensorPairStream,
     machine: &mut SimMachine,
     options: DriverOptions,
+    topology: Option<&LinkTopology>,
 ) -> Result<ScheduleReport, ScheduleError> {
+    machine.set_topology(topology.cloned());
     let t0 = options.measure_overhead.then(Instant::now);
     plan.validate_for(stream, MachineView::num_gpus(machine))?;
     let mut assignments = Vec::with_capacity(plan.total_tasks());
@@ -379,85 +334,6 @@ pub fn execute_plan_with(
         execution_overhead_secs: t0.map_or(0.0, |t| t.elapsed().as_secs_f64()),
         assignments,
     })
-}
-
-/// [`execute_plan_with`] on a machine armed with `topology` (the machine's
-/// existing topology is replaced — cleared when `None` — so planned and
-/// executed routes stay bit-identical when both phases receive the same
-/// topology).
-pub fn execute_plan_with_topology(
-    plan: &SchedulePlan,
-    stream: &TensorPairStream,
-    machine: &mut SimMachine,
-    options: DriverOptions,
-    topology: Option<&LinkTopology>,
-) -> Result<ScheduleReport, ScheduleError> {
-    machine.set_topology(topology.cloned());
-    execute_plan_with(plan, stream, machine, options)
-}
-
-/// Run `scheduler` over `stream` on a fresh machine built from `config`.
-///
-/// Since the decide/execute split this is a composition of
-/// [`plan_schedule`] and [`execute_plan`]; assignments and statistics are
-/// identical to the historical interleaved driver (a conformance test
-/// enforces it for every scheduler).
-pub fn run_schedule(
-    scheduler: &mut dyn Scheduler,
-    stream: &TensorPairStream,
-    config: &MachineConfig,
-) -> Result<ScheduleReport, ScheduleError> {
-    run_schedule_with(scheduler, stream, config, DriverOptions::default())
-}
-
-/// [`run_schedule`] with [`DriverOptions`] layered onto the machine's cost
-/// model — the entry point for overlap experiments.
-///
-/// # Examples
-///
-/// ```
-/// use micco_core::{run_schedule_with, DriverOptions, RoundRobinScheduler};
-/// use micco_gpusim::MachineConfig;
-/// use micco_workload::WorkloadSpec;
-///
-/// let stream = WorkloadSpec::new(8, 64).with_vectors(2).generate();
-/// let cfg = MachineConfig::mi100_like(2);
-/// let sync = run_schedule_with(
-///     &mut RoundRobinScheduler::new(), &stream, &cfg, DriverOptions::default(),
-/// ).unwrap();
-/// let overlapped = run_schedule_with(
-///     &mut RoundRobinScheduler::new(), &stream, &cfg, DriverOptions::default().with_overlap(),
-/// ).unwrap();
-/// // overlapping copies with compute never slows the simulated run down
-/// assert!(overlapped.elapsed_secs() <= sync.elapsed_secs());
-/// ```
-pub fn run_schedule_with(
-    scheduler: &mut dyn Scheduler,
-    stream: &TensorPairStream,
-    config: &MachineConfig,
-    options: DriverOptions,
-) -> Result<ScheduleReport, ScheduleError> {
-    let cfg = options.apply(config);
-    let plan = plan_schedule_with(scheduler, stream, &cfg, options)?;
-    let mut machine = SimMachine::new(cfg);
-    execute_plan_with(&plan, stream, &mut machine, options)
-}
-
-/// [`run_schedule_with`] with both phases routed over `topology`: the plan
-/// is decided against a topology-carrying shadow and replayed on a
-/// topology-carrying simulator, so the executed transfer paths are exactly
-/// the planned ones. `None` is exactly [`run_schedule_with`].
-pub fn run_schedule_with_topology(
-    scheduler: &mut dyn Scheduler,
-    stream: &TensorPairStream,
-    config: &MachineConfig,
-    options: DriverOptions,
-    topology: Option<&LinkTopology>,
-) -> Result<ScheduleReport, ScheduleError> {
-    let cfg = options.apply(config);
-    let plan = plan_schedule_with_topology(scheduler, stream, &cfg, options, topology)?;
-    let mut machine = SimMachine::new(cfg);
-    execute_plan_with_topology(&plan, stream, &mut machine, options, topology)
 }
 
 /// Run `scheduler` over `stream` on an existing machine (lets callers enable
@@ -497,7 +373,16 @@ pub fn run_schedule_on(
 mod tests {
     use super::*;
     use crate::baselines::RoundRobinScheduler;
+    use crate::session::Session;
     use micco_workload::WorkloadSpec;
+
+    /// A plan decided with default options and no topology.
+    fn plan_rr(stream: &TensorPairStream, cfg: &MachineConfig) -> SchedulePlan {
+        Session::new(*cfg)
+            .plan(&mut RoundRobinScheduler::new(), stream)
+            .unwrap()
+            .into_plan()
+    }
 
     #[test]
     fn round_robin_runs_and_reports() {
@@ -506,7 +391,9 @@ mod tests {
             .with_seed(1)
             .generate();
         let mut s = RoundRobinScheduler::new();
-        let report = run_schedule(&mut s, &stream, &MachineConfig::mi100_like(4)).unwrap();
+        let report = Session::new(MachineConfig::mi100_like(4))
+            .run(&mut s, &stream)
+            .unwrap();
         assert_eq!(report.assignments.len(), stream.total_tasks());
         assert_eq!(report.stats.total_tasks() as usize, stream.total_tasks());
         assert!(report.gflops() > 0.0);
@@ -525,7 +412,7 @@ mod tests {
         // device memory smaller than one task's working set
         let cfg = MachineConfig::mi100_like(1).with_mem_bytes(1024);
         let mut s = RoundRobinScheduler::new();
-        let err = run_schedule(&mut s, &stream, &cfg).unwrap_err();
+        let err = Session::new(cfg).run(&mut s, &stream).unwrap_err();
         assert!(matches!(err, ScheduleError::Exec { .. }));
         assert!(err.to_string().contains("failed"));
     }
@@ -534,7 +421,9 @@ mod tests {
     fn speedup_is_ratio_of_elapsed() {
         let stream = WorkloadSpec::new(8, 64).with_vectors(2).generate();
         let cfg = MachineConfig::mi100_like(2);
-        let a = run_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap();
+        let a = Session::new(cfg)
+            .run(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap();
         let b = a.clone();
         assert!((a.speedup_over(&b) - 1.0).abs() < 1e-12);
     }
@@ -543,7 +432,9 @@ mod tests {
     fn empty_stream_is_a_clean_noop() {
         let stream = micco_workload::TensorPairStream::default();
         let cfg = MachineConfig::mi100_like(2);
-        let r = run_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap();
+        let r = Session::new(cfg)
+            .run(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap();
         assert!(r.assignments.is_empty());
         assert_eq!(r.stats.total_tasks(), 0);
         assert_eq!(r.gflops(), 0.0);
@@ -554,7 +445,9 @@ mod tests {
     fn summary_and_display_agree() {
         let stream = WorkloadSpec::new(4, 64).with_vectors(1).generate();
         let cfg = MachineConfig::mi100_like(2);
-        let r = run_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap();
+        let r = Session::new(cfg)
+            .run(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap();
         assert_eq!(r.summary(), r.to_string());
         assert!(r.summary().contains("round-robin"));
         assert!(r.summary().contains("GFLOPS"));
@@ -580,19 +473,13 @@ mod tests {
             .with_seed(4)
             .generate();
         let cfg = MachineConfig::mi100_like(2);
-        let via_options = run_schedule_with(
-            &mut RoundRobinScheduler::new(),
-            &stream,
-            &cfg,
-            DriverOptions::default().with_overlap(),
-        )
-        .unwrap();
-        let via_cost = run_schedule(
-            &mut RoundRobinScheduler::new(),
-            &stream,
-            &cfg.with_cost(cfg.cost.with_async_copy()),
-        )
-        .unwrap();
+        let via_options = Session::new(cfg)
+            .overlap(true)
+            .run(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap();
+        let via_cost = Session::new(cfg.with_cost(cfg.cost.with_async_copy()))
+            .run(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap();
         assert_eq!(via_options.stats, via_cost.stats);
         assert_eq!(via_options.assignments, via_cost.assignments);
     }
@@ -601,7 +488,9 @@ mod tests {
     fn stage_makespans_match_vector_count() {
         let stream = WorkloadSpec::new(4, 64).with_vectors(5).generate();
         let cfg = MachineConfig::mi100_like(2);
-        let r = run_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap();
+        let r = Session::new(cfg)
+            .run(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap();
         assert_eq!(r.stats.stage_makespans.len(), 5);
     }
 
@@ -609,16 +498,15 @@ mod tests {
     fn overhead_zero_unless_opted_in() {
         let stream = WorkloadSpec::new(8, 64).with_vectors(2).generate();
         let cfg = MachineConfig::mi100_like(2);
-        let silent = run_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap();
+        let silent = Session::new(cfg)
+            .run(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap();
         assert_eq!(silent.scheduling_overhead_secs, 0.0);
         assert_eq!(silent.execution_overhead_secs, 0.0);
-        let measured = run_schedule_with(
-            &mut RoundRobinScheduler::new(),
-            &stream,
-            &cfg,
-            DriverOptions::default().with_measure_overhead(),
-        )
-        .unwrap();
+        let measured = Session::new(cfg)
+            .measure_overhead(true)
+            .run(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap();
         assert!(measured.scheduling_overhead_secs > 0.0);
         // timing never changes the decisions or the simulated outcome
         assert_eq!(silent.assignments, measured.assignments);
@@ -629,36 +517,36 @@ mod tests {
     fn execute_phase_overhead_is_measured_when_opted_in() {
         let stream = WorkloadSpec::new(8, 64).with_vectors(2).generate();
         let cfg = MachineConfig::mi100_like(2);
-        let plan = plan_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap();
+        let plan = plan_rr(&stream, &cfg);
 
         // the plan-replay path honours measure_overhead (it used to be
         // silently dropped here)
         let mut machine = SimMachine::new(cfg);
-        let timed = execute_plan_with(
+        let timed = execute_plan_with_topology(
             &plan,
             &stream,
             &mut machine,
             DriverOptions::default().with_measure_overhead(),
+            None,
         )
         .unwrap();
         assert!(timed.execution_overhead_secs > 0.0);
 
         // and measurement never perturbs the simulated outcome
         let mut machine = SimMachine::new(cfg);
-        let silent = execute_plan(&plan, &stream, &mut machine).unwrap();
+        let silent =
+            execute_plan_with_topology(&plan, &stream, &mut machine, Default::default(), None)
+                .unwrap();
         assert_eq!(silent.execution_overhead_secs, 0.0);
         assert_eq!(silent.stats, timed.stats);
         assert_eq!(silent.assignments, timed.assignments);
         assert!(timed.total_overhead_secs() >= timed.execution_overhead_secs);
 
         // composed runs forward the options to the execute phase
-        let composed = run_schedule_with(
-            &mut RoundRobinScheduler::new(),
-            &stream,
-            &cfg,
-            DriverOptions::default().with_measure_overhead(),
-        )
-        .unwrap();
+        let composed = Session::new(cfg)
+            .measure_overhead(true)
+            .run(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap();
         assert!(composed.execution_overhead_secs > 0.0);
     }
 
@@ -669,7 +557,9 @@ mod tests {
             .with_seed(9)
             .generate();
         let cfg = MachineConfig::mi100_like(3);
-        let composed = run_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap();
+        let composed = Session::new(cfg)
+            .run(&mut RoundRobinScheduler::new(), &stream)
+            .unwrap();
         let mut machine = SimMachine::new(cfg);
         let interleaved =
             run_schedule_on(&mut RoundRobinScheduler::new(), &stream, &mut machine).unwrap();
@@ -681,20 +571,22 @@ mod tests {
     fn execute_plan_rejects_mismatched_stream() {
         let stream = WorkloadSpec::new(8, 64).with_vectors(2).generate();
         let cfg = MachineConfig::mi100_like(2);
-        let plan = plan_schedule(&mut RoundRobinScheduler::new(), &stream, &cfg).unwrap();
+        let plan = plan_rr(&stream, &cfg);
         let other = WorkloadSpec::new(8, 64)
             .with_vectors(2)
             .with_seed(99)
             .generate();
         let mut machine = SimMachine::new(cfg);
-        let err = execute_plan(&plan, &other, &mut machine).unwrap_err();
+        let err = execute_plan_with_topology(&plan, &other, &mut machine, Default::default(), None)
+            .unwrap_err();
         assert!(matches!(
             err,
             ScheduleError::Plan(PlanError::FingerprintMismatch { .. })
         ));
         // and a machine with the wrong shape is rejected too
         let mut small = SimMachine::new(MachineConfig::mi100_like(1));
-        let err = execute_plan(&plan, &stream, &mut small).unwrap_err();
+        let err = execute_plan_with_topology(&plan, &stream, &mut small, Default::default(), None)
+            .unwrap_err();
         assert!(matches!(
             err,
             ScheduleError::Plan(PlanError::DeviceCountMismatch { .. })

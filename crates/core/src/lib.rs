@@ -24,8 +24,9 @@
 //!   policies;
 //! * [`GrouteScheduler`] — the earliest-available-device baseline the paper
 //!   compares against (reuse-oblivious load balancing);
-//! * [`run_schedule`] — the driver interleaving scheduling with simulated
-//!   execution, measuring both achieved GFLOPS and scheduling overhead;
+//! * [`Session`] — the front door: decide a [`SchedulePlan`] against the
+//!   scheduler-visible machine state, then replay it on the simulator,
+//!   measuring both achieved GFLOPS and scheduling overhead;
 //! * [`tuner`] — grid search over reuse-bound settings (ground truth for the
 //!   regression model) and the Fig. 8 candidate set;
 //! * [`model::RegressionBounds`] — the pre-trained random-forest provider
@@ -53,10 +54,8 @@ pub use baselines::{CodaScheduler, GrouteScheduler, RoundRobinScheduler};
 pub use bounds::{BoundsProvider, FixedBounds, ReuseBounds};
 pub use config::{ConfigError, RetryPolicy, SessionConfig, CONFIG_KEYS};
 pub use driver::{
-    execute_plan, execute_plan_with, execute_plan_with_topology, plan_schedule, plan_schedule_in,
-    plan_schedule_in_with_topology, plan_schedule_with, plan_schedule_with_topology, run_schedule,
-    run_schedule_on, run_schedule_with, run_schedule_with_topology, Assignment, DriverOptions,
-    ScheduleError, ScheduleReport, Scheduler,
+    execute_plan_with_topology, plan_schedule_in_with_topology, run_schedule_on, Assignment,
+    DriverOptions, ScheduleError, ScheduleReport, Scheduler,
 };
 pub use mapping::{mapping_histogram, Mapping, MappingHistogram};
 pub use micco::MiccoScheduler;

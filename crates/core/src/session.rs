@@ -37,8 +37,9 @@ use micco_obs::{
 };
 use micco_workload::TensorPairStream;
 
+use crate::arena::PlanArena;
 use crate::driver::{
-    execute_plan_with_topology, plan_schedule_with_topology, DriverOptions, ScheduleError,
+    execute_plan_with_topology, plan_schedule_in_with_topology, DriverOptions, ScheduleError,
     ScheduleReport, Scheduler,
 };
 use crate::plan::SchedulePlan;
@@ -118,17 +119,22 @@ impl Session {
         self
     }
 
-    /// Simulate transfers over an explicit link topology: both the
-    /// planning shadow and every execution machine route device-to-device
-    /// copies through `topology` and charge per-hop link time, so planned
-    /// and executed timelines stay bit-identical. Panics on execution if
-    /// the topology's GPU count differs from the machine config's.
+    /// Simulate transfers over an explicit link topology (`None` keeps the
+    /// flat device-to-device cost model): both the planning shadow and
+    /// every execution machine route device-to-device copies through
+    /// `topology` and charge per-hop link time, so planned and executed
+    /// timelines stay bit-identical. The topology's GPU count must equal
+    /// the machine config's: [`SessionConfig::validate`] rejects a
+    /// mismatch, and a session built by hand with one panics when it plans
+    /// or executes.
     ///
     /// Routing alone does not change *placement*; pair it with
     /// [`Session::topology_aware`] to let schedulers penalize cross-island
     /// candidates.
-    pub fn with_topology(mut self, topology: LinkTopology) -> Self {
-        self.topology = Some(topology);
+    ///
+    /// [`SessionConfig::validate`]: crate::SessionConfig::validate
+    pub fn with_topology(mut self, topology: impl Into<Option<LinkTopology>>) -> Self {
+        self.topology = topology.into();
         self
     }
 
@@ -220,12 +226,14 @@ impl Session {
         scheduler: &mut dyn Scheduler,
         stream: &TensorPairStream,
     ) -> Result<Planned, ScheduleError> {
-        let plan = plan_schedule_with_topology(
+        let mut arena = PlanArena::with_capacity(stream.total_tasks(), stream.vectors.len());
+        let plan = plan_schedule_in_with_topology(
             scheduler,
             stream,
             &self.config,
             self.options,
             self.topology.as_ref(),
+            &mut arena,
         )?;
         Ok(Planned {
             session: self.clone(),
@@ -399,7 +407,6 @@ mod tests {
     use super::*;
     use crate::baselines::RoundRobinScheduler;
     use crate::bounds::ReuseBounds;
-    use crate::driver::run_schedule_with;
     use crate::micco::MiccoScheduler;
     use micco_obs::{reconcile_with_stats, Recorder};
     use micco_workload::WorkloadSpec;
@@ -413,19 +420,24 @@ mod tests {
     }
 
     #[test]
-    fn session_run_matches_the_classic_driver() {
+    fn session_run_matches_the_two_driver_phases() {
         let stream = stream();
         let cfg = MachineConfig::mi100_like(2);
         let opts = DriverOptions::default()
             .with_overlap()
             .with_prefetch_tasks(2);
-        let classic = run_schedule_with(
+        let plan = plan_schedule_in_with_topology(
             &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
             &stream,
             &cfg,
             opts,
+            None,
+            &mut PlanArena::default(),
         )
         .expect("fits");
+        let mut machine = SimMachine::new(opts.apply(&cfg));
+        let classic =
+            execute_plan_with_topology(&plan, &stream, &mut machine, opts, None).expect("fits");
         let via_session = Session::new(cfg)
             .with_options(opts)
             .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)

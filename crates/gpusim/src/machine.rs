@@ -1,8 +1,8 @@
 //! The simulated multi-GPU machine.
 //!
 //! [`SimMachine`] executes contraction tasks on per-device serial timelines.
-//! The driver (in `micco-core::run_schedule`) interleaves scheduling and
-//! execution: for every task the scheduler picks a device given the current
+//! The interleaved driver (`micco_core::run_schedule_on`) alternates
+//! scheduling and execution: for every task the scheduler picks a device given the current
 //! [`MachineView`], then [`SimMachine::execute`] applies the placement —
 //! staging missing operands (host→device, or device→device when a peer holds
 //! a copy), allocating the output, evicting under pressure, and advancing

@@ -715,7 +715,9 @@ impl Scheduling {
                 if cancel.load(Ordering::SeqCst) {
                     return RunOutcome::Canceled;
                 }
-                std::thread::sleep(step.min(hold - t0.elapsed()));
+                // saturating: the hold may run out between the loop test
+                // and this read, and a plain subtraction would panic
+                std::thread::sleep(step.min(hold.saturating_sub(t0.elapsed())));
             }
         }
         let plan = planned.plan();

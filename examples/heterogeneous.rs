@@ -27,14 +27,13 @@ fn main() {
         .generate();
     println!("{}\n", StreamStats::measure(&stream));
 
-    let cfg = MachineConfig::mi100_like(8);
-    let groute = run_schedule(&mut GrouteScheduler::new(), &stream, &cfg).expect("fits");
-    let micco = run_schedule(
-        &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
-        &stream,
-        &cfg,
-    )
-    .expect("fits");
+    let session = Session::new(MachineConfig::mi100_like(8));
+    let groute = session
+        .run(&mut GrouteScheduler::new(), &stream)
+        .expect("fits");
+    let micco = session
+        .run(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
+        .expect("fits");
     println!("{groute}");
     println!("{micco}");
     println!("speedup: {:.2}x\n", micco.speedup_over(&groute));
@@ -48,7 +47,7 @@ fn main() {
         seed: 12,
         ..TrainingConfig::default()
     };
-    let samples = build_training_set(&tc, &cfg);
+    let samples = build_training_set(&tc, session.config());
     let x: Vec<Vec<f64>> = samples.iter().map(|s| s.features.to_vec()).collect();
     let y: Vec<f64> = samples.iter().map(|s| s.bounds[1] as f64).collect();
     let mut forest = micco::ml::RandomForestRegressor::new(60, Default::default(), 5);

@@ -28,21 +28,24 @@ fn main() {
         workload.total_flops() as f64 / 1e9,
     );
 
-    // The paper's platform: eight MI100-like devices, 32 GiB each.
-    let machine = MachineConfig::mi100_like(8);
+    // The paper's platform: eight MI100-like devices, 32 GiB each. A
+    // session decides a plan against the scheduler-visible machine state
+    // and replays it on the simulator.
+    let session = Session::new(MachineConfig::mi100_like(8));
 
     // Baseline: earliest-available-device (Groute-like).
-    let groute = run_schedule(&mut GrouteScheduler::new(), &workload, &machine)
+    let groute = session
+        .run(&mut GrouteScheduler::new(), &workload)
         .expect("workload fits the machine");
 
     // MICCO with a fixed reuse-bound setting (0,2,0) — the kind of value
     // the regression model would emit for this workload.
-    let micco = run_schedule(
-        &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
-        &workload,
-        &machine,
-    )
-    .expect("workload fits the machine");
+    let micco = session
+        .run(
+            &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
+            &workload,
+        )
+        .expect("workload fits the machine");
 
     println!(
         "\n{:<22} {:>10} {:>12} {:>8} {:>8} {:>10}",

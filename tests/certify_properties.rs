@@ -17,8 +17,8 @@ use micco::exec::{ExecOptions, TensorStore};
 use micco::gpusim::{LinkTopology, MachineConfig};
 use micco::obs::{parse_trace_text, write_trace_text, FlowPoint, Recorder, TraceEvent, Track};
 use micco::sched::{
-    plan_schedule_with_topology, CodaScheduler, DriverOptions, GrouteScheduler, MiccoScheduler,
-    ReuseBounds, RoundRobinScheduler, SchedulePlan, Scheduler, Session,
+    CodaScheduler, GrouteScheduler, MiccoScheduler, ReuseBounds, RoundRobinScheduler, SchedulePlan,
+    Scheduler, Session,
 };
 use micco::workload::{TensorPairStream, WorkloadSpec};
 
@@ -63,8 +63,11 @@ fn plan_for(
     cfg: &MachineConfig,
     topo: Option<&LinkTopology>,
 ) -> SchedulePlan {
-    plan_schedule_with_topology(sched, stream, cfg, DriverOptions::default(), topo)
+    Session::new(*cfg)
+        .with_topology(topo.cloned())
+        .plan(sched, stream)
         .expect("workload fits")
+        .into_plan()
 }
 
 /// Replay `plan` on an instrumented simulator, optionally with routed
@@ -75,11 +78,11 @@ fn sim_trace(
     topo: Option<&LinkTopology>,
 ) -> Vec<TraceEvent> {
     let recorder = Recorder::shared();
-    let mut session = Session::new(MachineConfig::mi100_like(GPUS)).trace(recorder.clone());
-    if let Some(t) = topo {
-        session = session.with_topology(t.clone());
-    }
-    session.replay(plan, stream).expect("replay succeeds");
+    Session::new(MachineConfig::mi100_like(GPUS))
+        .trace(recorder.clone())
+        .with_topology(topo.cloned())
+        .replay(plan, stream)
+        .expect("replay succeeds");
     recorder.events()
 }
 

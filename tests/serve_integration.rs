@@ -252,3 +252,36 @@ fn warm_restart_serves_cached_plans_without_replanning() {
     service.shutdown();
     let _ = std::fs::remove_dir_all(&store);
 }
+
+#[test]
+fn topology_of_another_size_is_rejected_at_submit_and_the_pool_stays_free() {
+    let service = Service::start(
+        "127.0.0.1:0",
+        ServeConfig {
+            pool_gpus: 2,
+            time_scale: 0.0,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let client = Client::new(service.addr());
+    // a topology must cover exactly the job's devices: admitted, this one
+    // would panic the executor thread and hold the pool forever
+    let (status, body) = client
+        .request(
+            "POST",
+            "/v1/jobs",
+            r#"{"tenant":"a","config":{"vector_size":4,"tensor_size":16,"vectors":2,"gpus":2,"topology":"nvlink{gpus:4,island:2}"}}"#,
+        )
+        .unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("covers 4 GPUs"), "{body}");
+    // the next valid job dispatches and completes
+    let id = client.submit("a", None, &job(2)).unwrap();
+    let rec = service
+        .scheduling()
+        .wait_job(id, Duration::from_secs(30))
+        .unwrap();
+    assert_eq!(rec.state, JobState::Done);
+    service.shutdown();
+}

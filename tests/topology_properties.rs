@@ -10,10 +10,12 @@ use micco::analysis::{analyze_plan_with, analyze_plan_with_topology, AnalysisCon
 use micco::analysis::{Code, Severity};
 use micco::gpusim::GpuId;
 use micco::gpusim::{LinkSpec, LinkTopology, MachineConfig, SimMachine};
-use micco::sched::{execute_plan_with_topology, repair_plan, repair_plan_with, SchedulePlan};
 use micco::sched::{
-    plan_schedule_with_topology, run_schedule_with, run_schedule_with_topology, DriverOptions,
-    GrouteScheduler, MiccoScheduler, ReuseBounds, RoundRobinScheduler, Scheduler,
+    execute_plan_with_topology, repair_plan, repair_plan_with, Planned, SchedulePlan,
+};
+use micco::sched::{
+    DriverOptions, GrouteScheduler, MiccoScheduler, ReuseBounds, RoundRobinScheduler, Scheduler,
+    Session,
 };
 use micco::workload::{RepeatDistribution, WorkloadSpec};
 
@@ -126,9 +128,11 @@ proptest! {
         let topo = LinkTopology::nvlink(gpus, gpus)
             .with_nvlink(LinkSpec::new(cfg.cost.d2d_gib_s, cfg.cost.transfer_latency_us));
         let opts = DriverOptions::default();
-        let flat = run_schedule_with(&mut *scheduler_for(which), &stream, &cfg, opts);
-        let routed = run_schedule_with_topology(
-            &mut *scheduler_for(which), &stream, &cfg, opts, Some(&topo));
+        let flat = Session::new(cfg).with_options(opts).run(&mut *scheduler_for(which), &stream);
+        let routed = Session::new(cfg)
+            .with_options(opts)
+            .with_topology(topo)
+            .run(&mut *scheduler_for(which), &stream);
         match (flat, routed) {
             (Ok(f), Ok(r)) => {
                 prop_assert_eq!(f.assignments, r.assignments);
@@ -156,8 +160,11 @@ proptest! {
         let topo = LinkTopology::nvlink(gpus, gpus)
             .with_nvlink(LinkSpec::new(gib_s, latency_us));
         let opts = DriverOptions::default();
-        let Ok(plan) = plan_schedule_with_topology(
-            &mut *scheduler_for(which), &stream, &cfg, opts, Some(&topo)) else {
+        let Ok(plan) = Session::new(cfg)
+            .with_options(opts)
+            .with_topology(topo.clone())
+            .plan(&mut *scheduler_for(which), &stream)
+            .map(Planned::into_plan) else {
             return Ok(());
         };
         let acfg = AnalysisConfig::default();
@@ -184,12 +191,12 @@ proptest! {
         if aware {
             opts = opts.with_topology_aware();
         }
-        let Ok(plan) = plan_schedule_with_topology(
-            &mut *scheduler_for(which), &stream, &cfg, opts, Some(&topo)) else {
+        let session = Session::new(cfg).with_options(opts).with_topology(topo.clone());
+        let Ok(plan) = session.plan(&mut *scheduler_for(which), &stream).map(Planned::into_plan)
+        else {
             return Ok(());
         };
-        let one_shot = run_schedule_with_topology(
-            &mut *scheduler_for(which), &stream, &cfg, opts, Some(&topo)).expect("runs");
+        let one_shot = session.run(&mut *scheduler_for(which), &stream).expect("runs");
         let mut machine = SimMachine::new(opts.apply(&cfg));
         let report = micco::sched::execute_plan_with_topology(
             &plan, &stream, &mut machine, opts, Some(&topo)).expect("replays");
@@ -222,14 +229,12 @@ fn topology_near_repair_does_not_regress_cross_island_traffic() {
     let topo = LinkTopology::nvlink(8, 4);
     let cfg = MachineConfig::mi100_like(8);
     let opts = DriverOptions::default().with_topology_aware();
-    let plan = plan_schedule_with_topology(
-        &mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)),
-        &stream,
-        &cfg,
-        opts,
-        Some(&topo),
-    )
-    .expect("corpus plans cleanly");
+    let plan = Session::new(cfg)
+        .with_options(opts)
+        .with_topology(topo.clone())
+        .plan(&mut MiccoScheduler::new(ReuseBounds::new(0, 2, 0)), &stream)
+        .expect("corpus plans cleanly")
+        .into_plan();
 
     let cross_island = |p: &SchedulePlan| -> u64 {
         let mut machine = SimMachine::new(cfg);
