@@ -12,8 +12,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 
 use micco_tensor::{
-    contraction_flops, gemm_blocked, gemm_naive, BatchedMatrix, BatchedTensor3, Complex64,
-    ContractionKind, Matrix,
+    contraction_flops, gemm_naive, BatchedMatrix, BatchedTensor3, Complex64, ContractionKind,
+    Matrix,
 };
 
 fn bench_batched_matmul(c: &mut Criterion) {
@@ -79,17 +79,23 @@ fn bench_trace_inner(c: &mut Criterion) {
     g.finish();
 }
 
-/// DESIGN.md-adjacent micro-ablation: the cache-blocked GEMM vs the naive
-/// ordering at the paper's tensor sizes (results are bitwise identical —
-/// asserted by unit tests — so only time differs).
-fn bench_gemm_blocking(c: &mut Criterion) {
-    let mut g = c.benchmark_group("kernels/gemm_blocking");
+/// The reference `i, k, j` GEMM against the production kernel behind
+/// [`Matrix::matmul`] (register-tiled, AVX2 when the CPU has it; DESIGN.md
+/// "Real kernels"). Results are bitwise identical — asserted by unit tests —
+/// so only time differs; throughput is in flops (`Gelem/s` = GFLOP/s).
+fn bench_gemm(c: &mut Criterion) {
+    let mut g = c.benchmark_group("kernels/gemm");
     g.sample_size(10)
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_secs(1));
     for &n in &[128usize, 384] {
         let a = Matrix::from_fn(n, |i, j| Complex64::new(i as f64 * 0.01, j as f64 * 0.02));
         let b = Matrix::from_fn(n, |i, j| Complex64::new(j as f64 * 0.03, i as f64 * 0.01));
+        g.throughput(Throughput::Elements(contraction_flops(
+            ContractionKind::Meson,
+            1,
+            n,
+        )));
         let mut out = vec![Complex64::ZERO; n * n];
         g.bench_with_input(BenchmarkId::new("naive", n), &n, |bch, _| {
             bch.iter(|| {
@@ -98,12 +104,8 @@ fn bench_gemm_blocking(c: &mut Criterion) {
                 black_box(out[0])
             });
         });
-        g.bench_with_input(BenchmarkId::new("blocked", n), &n, |bch, _| {
-            bch.iter(|| {
-                out.fill(Complex64::ZERO);
-                gemm_blocked(a.as_slice(), b.as_slice(), &mut out, n);
-                black_box(out[0])
-            });
+        g.bench_with_input(BenchmarkId::new("matmul", n), &n, |bch, _| {
+            bch.iter(|| black_box(a.matmul(&b).unwrap()));
         });
     }
     g.finish();
@@ -114,6 +116,6 @@ criterion_group!(
     bench_batched_matmul,
     bench_tensor3_contract,
     bench_trace_inner,
-    bench_gemm_blocking
+    bench_gemm
 );
 criterion_main!(benches);

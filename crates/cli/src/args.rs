@@ -27,6 +27,9 @@ pub enum ArgError {
     },
     /// Unexpected positional argument.
     UnexpectedPositional(String),
+    /// An `--option` or `--flag` no command documents (the key, without
+    /// its leading `--`).
+    Unknown(String),
 }
 
 impl std::fmt::Display for ArgError {
@@ -40,6 +43,7 @@ impl std::fmt::Display for ArgError {
                 write!(f, "--{key}: cannot parse '{value}' as {expected}")
             }
             ArgError::UnexpectedPositional(p) => write!(f, "unexpected argument '{p}'"),
+            ArgError::Unknown(key) => write!(f, "unknown option '--{key}'"),
         }
     }
 }
@@ -47,17 +51,25 @@ impl std::fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 impl Args {
-    /// Parse raw tokens (without the program name).
+    /// Parse raw tokens (without the program name), accepting only the
+    /// option and flag names in `known`.
     ///
     /// Tokens starting with `--` become options when followed by a
-    /// non-`--` token, otherwise flags. The first bare token is the
-    /// subcommand, the second is its sub-action (commands that take none
-    /// reject it at dispatch); further bare tokens are errors.
-    pub fn parse<I: IntoIterator<Item = String>>(tokens: I) -> Result<Args, ArgError> {
+    /// non-`--` token, otherwise flags; a name outside `known` is
+    /// [`ArgError::Unknown`]. The first bare token is the subcommand, the
+    /// second is its sub-action (commands that take none reject it at
+    /// dispatch); further bare tokens are errors.
+    pub fn parse<I: IntoIterator<Item = String>>(
+        tokens: I,
+        known: &[&str],
+    ) -> Result<Args, ArgError> {
         let mut args = Args::default();
         let mut it = tokens.into_iter().peekable();
         while let Some(tok) = it.next() {
             if let Some(key) = tok.strip_prefix("--") {
+                if !known.contains(&key) {
+                    return Err(ArgError::Unknown(key.to_owned()));
+                }
                 let takes_value = it.peek().map(|n| !n.starts_with("--")).unwrap_or(false);
                 if takes_value {
                     args.options
@@ -129,8 +141,10 @@ impl Args {
 mod tests {
     use super::*;
 
+    const KNOWN: &[&str] = &["rate", "trace", "gpus", "fast", "values", "dir"];
+
     fn parse(s: &str) -> Result<Args, ArgError> {
-        Args::parse(s.split_whitespace().map(String::from))
+        Args::parse(s.split_whitespace().map(String::from), KNOWN)
     }
 
     #[test]
@@ -186,6 +200,14 @@ mod tests {
             parse("store stats stray"),
             Err(ArgError::UnexpectedPositional(_))
         ));
+    }
+
+    #[test]
+    fn unknown_key_is_rejected_by_name() {
+        let err = parse("synthetic --gpu 2").unwrap_err();
+        assert_eq!(err, ArgError::Unknown("gpu".to_owned()));
+        assert!(err.to_string().contains("--gpu"));
+        assert!(matches!(parse("run --verbose"), Err(ArgError::Unknown(_))));
     }
 
     #[test]

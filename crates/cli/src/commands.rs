@@ -36,7 +36,8 @@ commands:
               --vector-size N --tensor-size N --rate F --dist uniform|gaussian|zipf
               --vectors N --gpus N --seed N --scheduler micco|groute|rr
               --bounds A,B,C --oversub F --overlap (alias --async-copy)
-              --prefetch-tasks K --mappings
+              --prefetch-tasks K --mappings --dims N,N,... (tensor mode
+              lengths to draw from; default: --tensor-size only)
   run         synthetic run through the Session API, with optional telemetry
               (same options as synthetic); --trace-out FILE records spans
               and metrics and writes Perfetto-loadable JSON;
@@ -154,6 +155,73 @@ the uniform device-to-device cost model. Spec grammar:
   nvlink{gpus:N, island:K, node:M, nv:BW@LAT, pcie:BW@LAT, ib:BW@LAT}
 with BW in GiB/s and LAT in µs; island/node/link tiers are optional
 (defaults: island=node=gpus, nv:200@1, pcie:16@3, ib:23@30)";
+
+/// Every option and flag name [`USAGE`] documents, without the leading
+/// `--`: the command line accepts these and no others.
+pub const KEYS: &[&str] = &[
+    "addr",
+    "async-copy",
+    "backend",
+    "batch",
+    "bounds",
+    "config",
+    "default-priority",
+    "default-weight",
+    "deny",
+    "dims",
+    "dir",
+    "dist",
+    "drain",
+    "duration",
+    "eps-us",
+    "format",
+    "gpus",
+    "gpus-per-node",
+    "inject-faults",
+    "jobs-per-sec",
+    "lint",
+    "load",
+    "mappings",
+    "max-queue",
+    "max-runtime-secs",
+    "mem-headroom",
+    "mem-mib",
+    "nodes",
+    "out",
+    "overlap",
+    "oversub",
+    "param",
+    "plan",
+    "pool-gpus",
+    "prefetch",
+    "prefetch-tasks",
+    "preset",
+    "rate",
+    "retry",
+    "samples",
+    "save",
+    "scale",
+    "scheduler",
+    "seed",
+    "steal",
+    "store",
+    "strict",
+    "tenants",
+    "tensor-size",
+    "thrash-window",
+    "time-scale",
+    "times",
+    "topology",
+    "topology-aware",
+    "trace",
+    "trace-out",
+    "trace-raw",
+    "transfers",
+    "values",
+    "vector-size",
+    "vectors",
+    "workers",
+];
 
 /// Dispatch a parsed command line.
 pub fn dispatch(args: &Args) -> Result<(), String> {
@@ -1363,8 +1431,59 @@ mod tests {
     use super::*;
 
     fn run(cmd: &str) -> Result<(), String> {
-        let args = Args::parse(cmd.split_whitespace().map(String::from)).unwrap();
+        let args = Args::parse(cmd.split_whitespace().map(String::from), KEYS).unwrap();
         dispatch(&args)
+    }
+
+    /// The option names this file's commands read: the string literal
+    /// passed to each `flag`/`get`/`str_or`/`parse_or`/`parse_list_or`
+    /// call outside the tests.
+    fn keys_read() -> Vec<String> {
+        let src = include_str!("commands.rs");
+        let src = &src[..src.find("#[cfg(test)]").unwrap()];
+        let mut keys = Vec::new();
+        for call in [
+            ".flag(",
+            ".get(",
+            ".str_or(",
+            ".parse_or(",
+            ".parse_list_or(",
+        ] {
+            for (at, _) in src.match_indices(call) {
+                let rest = src[at + call.len()..].trim_start();
+                if let Some(lit) = rest.strip_prefix('"') {
+                    keys.push(lit[..lit.find('"').unwrap()].to_owned());
+                }
+            }
+        }
+        keys.sort();
+        keys.dedup();
+        keys
+    }
+
+    #[test]
+    fn every_key_a_command_reads_is_known_and_documented() {
+        let read = keys_read();
+        // the scan itself must see the multi-line calls rustfmt produces
+        for sample in ["gpus", "values", "pool-gpus", "overlap"] {
+            assert!(read.iter().any(|k| k == sample), "scan missed {sample}");
+        }
+        for key in &read {
+            assert!(
+                KEYS.contains(&key.as_str()),
+                "--{key} is read but not in KEYS"
+            );
+        }
+        for key in KEYS {
+            assert!(
+                USAGE.contains(&format!("--{key}")),
+                "--{key} is in KEYS but USAGE does not document it"
+            );
+            assert!(
+                read.iter().any(|k| k == key),
+                "--{key} is in KEYS but never read"
+            );
+        }
     }
 
     #[test]
@@ -1982,6 +2101,7 @@ mod tests {
             format!("plan {STORE_WL}")
                 .split_whitespace()
                 .map(String::from),
+            KEYS,
         )
         .unwrap();
         let scfg = session_config_from_args(&args, SessionConfig::default()).unwrap();
@@ -2038,6 +2158,7 @@ mod tests {
             format!("plan {STORE_WL} --topology-aware --scheduler micco --bounds 0,2,0")
                 .split_whitespace()
                 .map(String::from),
+            KEYS,
         )
         .unwrap();
         let from_flags = session_config_from_args(&flags, SessionConfig::default()).unwrap();
@@ -2048,6 +2169,7 @@ mod tests {
             format!("plan --config {}", path.display())
                 .split_whitespace()
                 .map(String::from),
+            KEYS,
         )
         .unwrap();
         let from_file = session_config_from_args(&by_file, SessionConfig::default()).unwrap();
@@ -2077,6 +2199,7 @@ mod tests {
              --steal --prefetch"
                 .split_whitespace()
                 .map(String::from),
+            KEYS,
         )
         .unwrap();
         let cfg = session_config_from_args(&args, SessionConfig::default()).unwrap();

@@ -17,11 +17,13 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match args::Args::parse(raw) {
+    // a malformed command line (unknown option, stray argument) exits 2,
+    // a failed command 1
+    let parsed = match args::Args::parse(raw, commands::KEYS) {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            eprintln!("error: {e} (run `micco` for usage)");
+            return ExitCode::from(2);
         }
     };
     match commands::dispatch(&parsed) {

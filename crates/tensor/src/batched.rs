@@ -294,6 +294,32 @@ mod tests {
         })
     }
 
+    #[test]
+    fn batched_matmul_is_bitwise_identical_to_per_element_naive() {
+        let (batch, n) = (4, 128);
+        let a = BatchedMatrix::from_fn(batch, n, |b, i, j| {
+            Complex64::new(
+                (b as f64 + i as f64 * 0.37 - j as f64 * 0.11).sin(),
+                (i as f64 + 2.0 * j as f64 - b as f64).cos() * 0.5,
+            )
+        });
+        let m = BatchedMatrix::from_fn(batch, n, |b, i, j| {
+            Complex64::new(
+                (j as f64 * 0.29 + i as f64 * 0.07 - b as f64).cos(),
+                (3.0 * i as f64 - j as f64 + b as f64).sin() * 0.25,
+            )
+        });
+        let c = a.matmul(&m).unwrap();
+        let bits = |z: &[Complex64]| -> Vec<(u64, u64)> {
+            z.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        for bi in 0..batch {
+            let mut naive = vec![Complex64::ZERO; n * n];
+            crate::gemm_naive(a.slab(bi), m.slab(bi), &mut naive, n);
+            assert_eq!(bits(c.slab(bi)), bits(&naive), "batch element {bi}");
+        }
+    }
+
     fn sample_bt(batch: usize, n: usize, seed: f64) -> BatchedTensor3 {
         BatchedTensor3::from_fn(batch, n, |b, i, j, k| {
             Complex64::new(

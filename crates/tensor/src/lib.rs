@@ -28,7 +28,7 @@ pub use complex::Complex64;
 pub use flops::{
     contraction_bytes, contraction_flops, tensor_bytes, ContractionKind, COMPLEX_BYTES,
 };
-pub use matrix::{gemm_blocked, gemm_naive, Matrix};
+pub use matrix::{gemm_naive, Matrix};
 pub use tensor3::Tensor3;
 
 /// A hadron-node payload: either a batch of matrices (meson systems) or a

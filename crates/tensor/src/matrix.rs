@@ -129,26 +129,19 @@ impl Matrix {
 /// caller when a fresh product is wanted). Shared by [`Matrix::matmul`] and
 /// the batched kernels so they cannot drift apart.
 ///
-/// Dispatches to a cache-blocked kernel for large matrices; both paths
-/// produce **bitwise identical** results because every output element's
-/// `k`-accumulation order is globally ascending either way.
+/// Runs the register-tiled kernel [`gemm_tiled`], compiled for AVX2 when
+/// this CPU has it. Either way the result is **bitwise identical** to
+/// [`gemm_naive`]: see [`gemm_tiled`] for why.
 #[inline]
 pub(crate) fn matmul_into(a: &[Complex64], b: &[Complex64], out: &mut [Complex64], n: usize) {
-    debug_assert_eq!(a.len(), n * n);
-    debug_assert_eq!(b.len(), n * n);
-    debug_assert_eq!(out.len(), n * n);
-    // A 256×256 complex matrix is 1 MiB — by 128 the B panel no longer
-    // fits alongside A and out in L2, so blocking starts paying.
-    if n >= 128 {
-        gemm_blocked(a, b, out, n);
-    } else {
-        gemm_naive(a, b, out, n);
+    if !gemm_avx2(a, b, out, n) {
+        gemm_tiled(a, b, out, n);
     }
 }
 
 /// The straightforward `i, k, j` kernel (inner loop streams rows of `b` and
-/// `out`). Public for the `kernels` criterion bench; use [`Matrix::matmul`]
-/// in real code.
+/// `out`): the reference every other kernel must match bit for bit. Public
+/// for the `kernels` criterion bench; use [`Matrix::matmul`] in real code.
 #[doc(hidden)]
 pub fn gemm_naive(a: &[Complex64], b: &[Complex64], out: &mut [Complex64], n: usize) {
     for i in 0..n {
@@ -163,29 +156,118 @@ pub fn gemm_naive(a: &[Complex64], b: &[Complex64], out: &mut [Complex64], n: us
     }
 }
 
-/// Cache-blocked variant: `k` is panelled so the active slab of `b`
-/// (`KB × n` complex ≈ 64 KiB at n = 256) stays in L2 across all rows of
-/// `a`. Per output element the `k` order is still globally ascending, so
-/// results are bitwise identical to [`gemm_naive`] (floating-point addition
-/// order is preserved).
-#[doc(hidden)]
-pub fn gemm_blocked(a: &[Complex64], b: &[Complex64], out: &mut [Complex64], n: usize) {
-    const KB: usize = 16;
-    let mut kk = 0;
-    while kk < n {
-        let kend = (kk + KB).min(n);
-        for i in 0..n {
-            let arow = &a[i * n + kk..i * n + kend];
-            let orow = &mut out[i * n..(i + 1) * n];
-            for (k, &aik) in (kk..kend).zip(arow) {
-                let brow = &b[k * n..(k + 1) * n];
-                for (o, &bkj) in orow.iter_mut().zip(brow) {
-                    o.mul_add_assign(aik, bkj);
-                }
+/// Rows of `out` one micro-kernel call holds in registers.
+const MR: usize = 2;
+/// Columns of `out` one micro-kernel call holds in registers: the width of
+/// a packed panel of `b`.
+const NR: usize = 8;
+
+/// [`gemm_tiled`] compiled with AVX2 enabled, when this CPU has AVX2.
+/// Returns `false`, having done nothing, when it does not.
+#[cfg(target_arch = "x86_64")]
+fn gemm_avx2(a: &[Complex64], b: &[Complex64], out: &mut [Complex64], n: usize) -> bool {
+    /// # Safety
+    ///
+    /// The CPU running it must support AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn tiled(a: &[Complex64], b: &[Complex64], out: &mut [Complex64], n: usize) {
+        gemm_tiled(a, b, out, n);
+    }
+    if !is_x86_feature_detected!("avx2") {
+        return false;
+    }
+    // SAFETY: `is_x86_feature_detected!("avx2")` just returned true, so
+    // this CPU supports the one feature `tiled` is compiled for.
+    unsafe { tiled(a, b, out, n) };
+    true
+}
+
+/// Non-x86-64 targets run the portable instantiation only.
+#[cfg(not(target_arch = "x86_64"))]
+fn gemm_avx2(_: &[Complex64], _: &[Complex64], _: &mut [Complex64], _: usize) -> bool {
+    false
+}
+
+/// Register-tiled GEMM, accumulating into `out` like [`gemm_naive`].
+///
+/// `b` is packed into split re/im column panels `NR` wide, one panel at a
+/// time into one buffer per call; an `MR × NR` tile of `out` then stays in
+/// registers across the whole `k` loop (lanes past column `n` in the last
+/// panel are computed but never stored). The tile loops vectorise across
+/// `j` only, and every output element still computes exactly
+/// `re += a.re·b.re − a.im·b.im`, `im += a.re·b.im + a.im·b.re` over `k`
+/// ascending, starting from its incoming value, with no fused
+/// multiply-add — so the result is bitwise identical to [`gemm_naive`].
+///
+/// `#[inline(always)]` so that [`gemm_avx2`]'s copy is compiled with its
+/// target features.
+#[inline(always)]
+fn gemm_tiled(a: &[Complex64], b: &[Complex64], out: &mut [Complex64], n: usize) {
+    debug_assert!(a.len() == n * n && b.len() == n * n && out.len() == n * n);
+    // panel[k] = [re, im] of b[k][j0..j0 + NR]
+    let mut panel = vec![[[0.0f64; NR]; 2]; n];
+    // the out tile in the panel's split layout: loaded and stored whole, it
+    // lets the compiler vectorise across `j` (moved straight to and from
+    // interleaved `out`, LLVM vectorised each (re, im) pair instead, at
+    // half the speed)
+    let mut acc = [[[0.0f64; NR]; 2]; MR];
+    for j0 in (0..n).step_by(NR) {
+        let width = NR.min(n - j0);
+        for (k, [re, im]) in panel.iter_mut().enumerate() {
+            for (j, z) in b[k * n + j0..][..width].iter().enumerate() {
+                re[j] = z.re;
+                im[j] = z.im;
             }
         }
-        kk = kend;
+        let mut i0 = 0;
+        while i0 < n {
+            let rows = MR.min(n - i0);
+            for (r, [re, im]) in acc[..rows].iter_mut().enumerate() {
+                for (j, z) in out[(i0 + r) * n + j0..][..width].iter().enumerate() {
+                    re[j] = z.re;
+                    im[j] = z.im;
+                }
+            }
+            if rows == MR {
+                tile::<MR>(a, &panel, &mut acc, n, i0);
+            } else {
+                tile::<1>(a, &panel, &mut acc, n, i0);
+            }
+            for (r, [re, im]) in acc[..rows].iter().enumerate() {
+                for (j, z) in out[(i0 + r) * n + j0..][..width].iter_mut().enumerate() {
+                    *z = Complex64::new(re[j], im[j]);
+                }
+            }
+            i0 += rows;
+        }
     }
+}
+
+/// `acc[..R] += a[i0..i0 + R] · panel` over the whole `k` range, with the
+/// tile held in registers.
+#[inline(always)]
+fn tile<const R: usize>(
+    a: &[Complex64],
+    panel: &[[[f64; NR]; 2]],
+    acc: &mut [[[f64; NR]; 2]; MR],
+    n: usize,
+    i0: usize,
+) {
+    let mut c: [[[f64; NR]; 2]; R] = std::array::from_fn(|r| acc[r]);
+    let rows: [&[Complex64]; R] = std::array::from_fn(|r| &a[(i0 + r) * n..][..n]);
+    for (k, [br, bi]) in panel.iter().enumerate() {
+        for r in 0..R {
+            let Complex64 { re: ar, im: ai } = rows[r][k];
+            let [re, im] = &mut c[r];
+            for j in 0..NR {
+                re[j] += ar * br[j] - ai * bi[j];
+            }
+            for j in 0..NR {
+                im[j] += ar * bi[j] + ai * br[j];
+            }
+        }
+    }
+    acc[..R].copy_from_slice(&c);
 }
 
 #[cfg(test)]
@@ -266,8 +348,8 @@ mod tests {
     }
 
     #[test]
-    fn blocked_gemm_is_bitwise_identical_to_naive() {
-        for n in [7usize, 16, 33, 128, 200] {
+    fn tiled_gemm_is_bitwise_identical_to_naive_on_both_paths() {
+        for n in (1..=40).chain([63, 64, 65, 127, 128, 129, 200]) {
             let a = Matrix::from_fn(n, |i, j| {
                 Complex64::new(
                     (i as f64 * 0.37 - j as f64 * 0.11).sin(),
@@ -280,14 +362,22 @@ mod tests {
                     (3.0 * i as f64 - j as f64).sin() * 0.25,
                 )
             });
-            let mut naive = vec![Complex64::ZERO; n * n];
-            let mut blocked = vec![Complex64::ZERO; n * n];
+            // a non-zero start: the kernels accumulate into `out`
+            let start = Matrix::from_fn(n, |i, j| {
+                Complex64::new((i * n + j) as f64 * 1e-3, -(j as f64) * 0.7)
+            });
+            let bits = |z: &[Complex64]| -> Vec<(u64, u64)> {
+                z.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+            };
+            let mut naive = start.as_slice().to_vec();
             gemm_naive(a.as_slice(), b.as_slice(), &mut naive, n);
-            gemm_blocked(a.as_slice(), b.as_slice(), &mut blocked, n);
-            assert_eq!(
-                naive, blocked,
-                "n = {n}: float addition order must be preserved"
-            );
+            let mut portable = start.as_slice().to_vec();
+            gemm_tiled(a.as_slice(), b.as_slice(), &mut portable, n);
+            assert_eq!(bits(&naive), bits(&portable), "n = {n}: portable path");
+            let mut avx2 = start.as_slice().to_vec();
+            if gemm_avx2(a.as_slice(), b.as_slice(), &mut avx2, n) {
+                assert_eq!(bits(&naive), bits(&avx2), "n = {n}: AVX2 path");
+            }
         }
     }
 }
